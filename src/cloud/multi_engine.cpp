@@ -4,17 +4,12 @@
 #include <cmath>
 #include <limits>
 
+#include "sim/deadline_tolerance.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/vec.hpp"
 
 namespace sjs::cloud {
-
-namespace {
-double deadline_eps(double deadline) {
-  return 1e-9 * std::max(1.0, std::abs(deadline));
-}
-}  // namespace
 
 MultiEngine::MultiEngine(const std::vector<Job>& jobs,
                          std::vector<cap::CapacityProfile> servers,
@@ -104,7 +99,7 @@ void MultiEngine::schedule_completion(std::size_t server) {
   const Job& j = job(jid);
   const double completion =
       servers_[server].invert(now_, remaining_[static_cast<std::size_t>(jid)]);
-  if (completion <= j.deadline + deadline_eps(j.deadline)) {
+  if (completion <= j.deadline + sim::deadline_eps(j.deadline)) {
     push_event(std::min(completion, j.deadline), EventType::kCompletion, jid,
                server, epochs_[server]);
   }
@@ -176,8 +171,10 @@ void MultiEngine::process_event(const Event& event) {
       }
       const auto idx = static_cast<std::size_t>(event.job);
       SJS_CHECK_MSG(remaining_[idx] <
-                        1e-6 * std::max(1.0, job(event.job).workload),
-                    "completion with work left");
+                        sim::completion_residue_bound(
+                            job(event.job),
+                            servers_[event.server].max_rate()),
+                    "completion with " << remaining_[idx] << " work left");
       remaining_[idx] = 0.0;
       outcomes_[idx] = sim::JobOutcome::kCompleted;
       result_.completion_times[idx] = now_;

@@ -43,7 +43,7 @@ void MetricsRegistry::Shard::set_gauge(std::string_view name, double value) {
 void MetricsRegistry::Shard::observe(std::string_view name, double value) {
   auto dist = distributions_.find(name);
   if (dist == distributions_.end()) {
-    dist = distributions_.emplace(std::string(name), Welford{}).first;
+    dist = distributions_.emplace(std::string(name), ExactMoments{}).first;
   }
   dist->second.add(value);
   auto it = histograms_.find(name);

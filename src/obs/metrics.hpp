@@ -6,8 +6,9 @@
 // own Shard (created once, under the registration mutex) and updates plain
 // maps thereafter. snapshot() merges every shard — counters add, gauges take
 // the maximum (shards have no global ordering, so "last write" is
-// undefined), distributions merge exactly via Welford/Chan, histograms add
-// bin-wise.
+// undefined), distributions merge exactly (stats/exact_moments.hpp keeps
+// exact power sums, so a snapshot does not depend on how samples were split
+// across shards), histograms add bin-wise.
 //
 // Snapshotting while worker threads are still writing is a data race by
 // design (no atomics on the hot path); call snapshot() after the parallel
@@ -24,7 +25,7 @@
 
 #include "obs/trace_sink.hpp"
 #include "stats/histogram.hpp"
-#include "stats/welford.hpp"
+#include "stats/exact_moments.hpp"
 
 namespace sjs::obs {
 
@@ -32,7 +33,7 @@ namespace sjs::obs {
 struct MetricsSnapshot {
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, Welford> distributions;
+  std::map<std::string, ExactMoments> distributions;
   std::map<std::string, Histogram> histograms;
 
   /// Human-readable multi-line report.
@@ -68,7 +69,7 @@ class MetricsRegistry {
     const MetricsRegistry* owner_;
     std::map<std::string, double, std::less<>> counters_;
     std::map<std::string, double, std::less<>> gauges_;
-    std::map<std::string, Welford, std::less<>> distributions_;
+    std::map<std::string, ExactMoments, std::less<>> distributions_;
     std::map<std::string, Histogram, std::less<>> histograms_;
   };
 

@@ -4,22 +4,12 @@
 #include <cmath>
 #include <limits>
 
+#include "sim/deadline_tolerance.hpp"
 #include "util/logging.hpp"
 #include "util/fp.hpp"
 #include "util/vec.hpp"
 
 namespace sjs::sim {
-
-namespace {
-// Relative tolerance for "completed by deadline" decisions. Completion
-// instants are exact inversions of the cumulative-work function, but deadlines
-// are computed independently (r + p/c_lo in the generators), so the two can
-// disagree by a few ulps. A job whose exact completion lands within this
-// tolerance of its deadline is treated as completing *at* the deadline.
-double deadline_eps(double deadline) {
-  return 1e-9 * std::max(1.0, std::abs(deadline));
-}
-}  // namespace
 
 Engine::Engine(const Instance& instance, Scheduler& scheduler)
     : instance_(&instance),
@@ -42,8 +32,10 @@ void Engine::rewind() {
 
   jobs_.bind_dense(instance_->jobs());
 
-  static_events_.clear();
-  static_cursor_ = 0;
+  // The sealed static queue survives the rewind, for seal() to replay;
+  // parking the cursor at its end keeps it out of pending_events() until
+  // then.
+  static_cursor_ = static_events_.size();
   static_sealed_ = false;
   heap_.clear();
   next_seq_ = 0;
@@ -56,27 +48,91 @@ void Engine::rewind() {
 
 void Engine::push_event(double time, EventType type, JobId jid,
                         std::uint64_t id) {
-  SJS_CHECK_MSG(type != EventType::kTimer,
-                "timer events go through the wheel, not push_event");
-  const Event event{time, type, next_seq_++, jid, id};
   // Live-admitted releases/expiries arrive after the static side was sealed,
   // so they use the heap; side placement never changes the merged pop order
   // (pop_event compares fronts under the total order on Event).
-  const bool volatile_side =
-      type == EventType::kCompletion ||
-      (live_ && (type == EventType::kRelease || type == EventType::kExpiry));
-  if (volatile_side) {
-    // Growth to the episode high-water only; reserve_live pre-sizes this for
-    // the serve plane, so a warmed steady state never grows it.
-    util::append(heap_, event);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
-  } else {
-    // Releases, expiries, and capacity changes all arrive during setup and
-    // are never cancelled; they go to the sort-once static queue.
-    SJS_CHECK_MSG(!static_sealed_,
-                  "static-type event pushed after the queue was sealed");
-    util::append(static_events_, event);
+  SJS_CHECK_MSG(type == EventType::kCompletion ||
+                    (live_ && (type == EventType::kRelease ||
+                               type == EventType::kExpiry)),
+                "static-side events are laid out by seal(), not pushed");
+  const Event event{time, type, next_seq_++, jid, id};
+  // Growth to the episode high-water only; reserve_live pre-sizes this for
+  // the serve plane, so a warmed steady state never grows it.
+  util::append(heap_, event);
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+  result_.event_heap_peak = std::max<std::uint64_t>(
+      result_.event_heap_peak, pending_events());
+}
+
+void Engine::seal() {
+  SJS_CHECK_MSG(!static_sealed_,
+                "static event queue sealed twice without a reset");
+  const bool capacity = scheduler_->wants_capacity_events();
+  const std::size_t n = live_ ? 0 : instance_->size();
+  // The instance is append-only and its capacity path fixed, so a batch
+  // seal is determined by the job count and the capacity subscription. A
+  // batch seal starts at seq 0, so a cached one replays with its own seqs.
+  const bool cached = !live_ && batch_seal_cached_ && batch_seal_jobs_ == n &&
+                      batch_seal_capacity_ == capacity;
+  if (!cached) {
+    const std::uint64_t base = next_seq_;
+    const std::vector<Job>& jobs = instance_->jobs();
+    // Expiries are the one list that needs sorting: by deadline, ties by
+    // position, which is their seq order.
+    seal_expiries_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      util::append(seal_expiries_, SealKey{jobs[i].deadline, i});
+    }
+    std::sort(seal_expiries_.begin(), seal_expiries_.end(),
+              [](const SealKey& a, const SealKey& b) {
+                return fp::exact_ne(a.time, b.time) ? a.time < b.time
+                                                    : a.pos < b.pos;
+              });
+    // Breakpoints ascend strictly. A live run takes all of them, as its
+    // final deadline is unknown up front; the extras beyond the last
+    // admitted deadline fire with no live jobs and change nothing, so
+    // outcome equality with replay is unaffected.
+    const std::vector<double>& bps = instance_->capacity().breakpoints();
+    const auto bp = std::upper_bound(bps.begin(), bps.end(), 0.0);
+    const auto bp_end =
+        !capacity ? bp
+        : live_   ? bps.end()
+                  : std::upper_bound(bp, bps.end(), instance_->max_deadline());
+    const std::size_t caps = static_cast<std::size_t>(bp_end - bp);
+    // Linear three-way merge. Releases already ascend with their seqs: the
+    // instance is release-sorted with ids = positions (jobs/instance.hpp),
+    // which also makes an expiry's position its job id. Each list holds one
+    // event type, so at equal times the type order alone decides: expiry,
+    // then capacity change, then release.
+    util::grow(static_events_, 2 * n + caps);
+    std::size_t r = 0;
+    std::size_t x = 0;
+    std::size_t c = 0;
+    for (Event& out : static_events_) {
+      const bool has_r = r < n;
+      const bool has_c = c < caps;
+      if (x < n && (!has_r || seal_expiries_[x].time <= jobs[r].release) &&
+          (!has_c || seal_expiries_[x].time <= bp[c])) {
+        const SealKey& key = seal_expiries_[x++];
+        out = Event{key.time, EventType::kExpiry, base + 2 * key.pos + 1,
+                    static_cast<JobId>(key.pos), 0};
+      } else if (has_c && (!has_r || bp[c] <= jobs[r].release)) {
+        out = Event{bp[c], EventType::kCapacityChange, base + 2 * n + c,
+                    kNoJob, 0};
+        ++c;
+      } else {
+        out = Event{jobs[r].release, EventType::kRelease, base + 2 * r,
+                    jobs[r].id, 0};
+        ++r;
+      }
+    }
+    batch_seal_cached_ = !live_;
+    batch_seal_jobs_ = n;
+    batch_seal_capacity_ = capacity;
   }
+  static_cursor_ = 0;
+  static_sealed_ = true;
+  next_seq_ += static_events_.size();
   result_.event_heap_peak = std::max<std::uint64_t>(
       result_.event_heap_peak, pending_events());
 }
@@ -272,9 +328,11 @@ void Engine::handle_completion(const Event& event) {
     return;
   }
   completion_pending_ = false;
-  // The inversion is exact; any residue is floating-point dust.
+  // The inversion is exact; any residue is floating-point dust or the sliver
+  // a deadline clamp cut off.
   SJS_CHECK_MSG(jobs_.remaining(event.job) <
-                    1e-6 * std::max(1.0, instance_->job(event.job).workload),
+                    completion_residue_bound(instance_->job(event.job),
+                                             instance_->capacity().max_rate()),
                 "completion event with " << jobs_.remaining(event.job)
                                          << " work left");
   jobs_.remaining(event.job) = 0.0;
@@ -339,26 +397,10 @@ const SimResult& Engine::run_to_completion() {
                                   std::numeric_limits<double>::quiet_NaN());
   result_.release_times.reserve(instance_->size());
   result_.value_trace.reserve(instance_->size());
-  static_events_.reserve(static_events_.size() + 2 * instance_->size());
-
   for (const Job& j : instance_->jobs()) {
     util::append(result_.release_times, j.release);
-    push_event(j.release, EventType::kRelease, j.id, 0);
-    push_event(j.deadline, EventType::kExpiry, j.id, 0);
   }
-  if (scheduler_->wants_capacity_events()) {
-    const double end = instance_->max_deadline();
-    for (double bp : instance_->capacity().breakpoints()) {
-      if (bp > 0.0 && bp <= end) {
-        push_event(bp, EventType::kCapacityChange, kNoJob, 0);
-      }
-    }
-  }
-
-  // Seal the static side: one ascending sort, then pops are a cursor walk.
-  std::sort(static_events_.begin(), static_events_.end(),
-            [](const Event& a, const Event& b) { return b > a; });
-  static_sealed_ = true;
+  seal();
 
   trace(obs::TraceKind::kRunStart, kNoJob,
         static_cast<double>(instance_->size()));
@@ -450,19 +492,7 @@ void Engine::begin_live() {
     push_event(j.release, EventType::kRelease, j.id, 0);
     push_event(j.deadline, EventType::kExpiry, j.id, 0);
   }
-  if (scheduler_->wants_capacity_events()) {
-    // All profile breakpoints: the final deadline is unknown up front. The
-    // extras beyond the last admitted deadline fire with no live jobs and
-    // change nothing — outcome equality with replay is unaffected.
-    for (double bp : instance_->capacity().breakpoints()) {
-      if (bp > 0.0) {
-        push_event(bp, EventType::kCapacityChange, kNoJob, 0);
-      }
-    }
-  }
-  std::sort(static_events_.begin(), static_events_.end(),
-            [](const Event& a, const Event& b) { return b > a; });
-  static_sealed_ = true;
+  seal();
 
   trace(obs::TraceKind::kRunStart, kNoJob,
         static_cast<double>(instance_->size()));
@@ -544,9 +574,8 @@ void Engine::reserve_live(std::size_t max_in_flight) {
   // Live releases/expiries go to the volatile heap: up to two events per
   // in-flight job, plus the running job's completion.
   heap_.reserve(2 * max_in_flight + 1);
-  // The static side only takes pre-loaded jobs and capacity breakpoints.
-  static_events_.reserve(2 * instance_->size() +
-                         instance_->capacity().breakpoints().size());
+  // The static side of a live run only takes capacity breakpoints.
+  static_events_.reserve(instance_->capacity().breakpoints().size());
   wheel_.reserve(max_in_flight);
   result_.completion_times.reserve(max_in_flight);
   result_.release_times.reserve(max_in_flight);

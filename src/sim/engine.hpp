@@ -57,10 +57,12 @@ class Engine {
   /// scheduler, keeping every allocation (remaining/outcome/release tables,
   /// event heap, timer slab) — the Monte-Carlo driver reuses one engine per
   /// run across all scheduler cells instead of reallocating each cell. The
-  /// replayed event stream is bit-identical to a freshly constructed
-  /// engine's (asserted in tests/engine_test.cpp). The trace sink and
-  /// record_schedule flag persist across resets; pass attach_trace(nullptr)
-  /// to detach.
+  /// sealed release/expiry queue is kept too: the next run_to_completion
+  /// replays it without rebuilding when the job count and the scheduler's
+  /// wants_capacity_events() match the last batch run. The replayed event
+  /// stream is bit-identical to a freshly constructed engine's (asserted in
+  /// tests/engine_test.cpp). The trace sink and record_schedule flag persist
+  /// across resets; pass attach_trace(nullptr) to detach.
   void reset(Scheduler& scheduler);
 
   // --- Live mode (real-time admission serving, src/serve/) -----------------
@@ -82,8 +84,8 @@ class Engine {
   // in both modes. See docs/serving.md for the full argument.
 
   /// Enters live mode over the (possibly empty) bound instance: initialises
-  /// the run, pushes capacity-change interrupts if the scheduler wants them,
-  /// and raises on_start. Pair with finish_live().
+  /// the run, seals the capacity-change interrupts if the scheduler wants
+  /// them, and raises on_start. Pair with finish_live().
   void begin_live();
 
   /// Admits job `id` — already appended to the bound Instance, release
@@ -259,7 +261,19 @@ class Engine {
     if (sink_) sink_->record(obs::TraceEvent{now_, kind, job, -1, a, b});
   }
 
+  /// Pushes a volatile-side event: a completion, or a live-admitted release
+  /// or expiry. The static side is built only by seal().
   void push_event(double time, EventType type, JobId job, std::uint64_t id);
+  /// Seals the static side at run start. A batch run (run_to_completion)
+  /// seals every job's release and expiry plus the capacity breakpoints in
+  /// (0, max_deadline]; a live run (begin_live) seals only the breakpoints,
+  /// all of them. Seqs continue from next_seq_ in push order — release 2i,
+  /// expiry 2i+1, then the breakpoints — so the queue equals the one a
+  /// push-everything-then-sort would give. Built by merge: releases and
+  /// breakpoints already ascend, only the expiries are sorted. A batch seal
+  /// is cached and replayed by the next batch run with the same job count
+  /// and capacity subscription; a live seal drops the cache.
+  void seal();
   Event pop_event();
   /// Timestamp of the event pop_event would return (+inf when none). Dead
   /// events count — popping them is a cheap no-op, never wrong.
@@ -308,12 +322,23 @@ class Engine {
   /// the two fronts under the total order on Event (time, type, seq), so
   /// the merged pop sequence is identical to a single queue's.
   ///
-  /// Static side: releases, expiries, and capacity changes are all pushed
-  /// up front by run_to_completion and never cancelled — one sort seals
-  /// them, then consumption is a cursor walk (O(1) pops, no heap traffic).
+  /// Static side: releases, expiries, and capacity changes are all known at
+  /// run start and never cancelled — seal() lays them out in pop order once,
+  /// then consumption is a cursor walk (O(1) pops, no heap traffic).
   std::vector<Event> static_events_;
   std::size_t static_cursor_ = 0;
   bool static_sealed_ = false;
+  /// Cache key of the batch seal held in static_events_ (seal()).
+  bool batch_seal_cached_ = false;
+  std::size_t batch_seal_jobs_ = 0;
+  bool batch_seal_capacity_ = false;
+  /// seal()'s sort scratch: each expiry's time and job position, retained
+  /// across runs.
+  struct SealKey {
+    double time;
+    std::size_t pos;
+  };
+  std::vector<SealKey> seal_expiries_;
 
   /// Volatile side, completions: a binary min-heap (std::push_heap/pop_heap
   /// with greater<>) — an explicit container instead of std::priority_queue

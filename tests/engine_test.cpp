@@ -3,13 +3,16 @@
 // and accounting invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
 #include "jobs/instance.hpp"
 #include "obs/digest.hpp"
+#include "sched/factory.hpp"
 #include "sim/engine.hpp"
+#include "util/fp.hpp"
 #include "util/logging.hpp"
 
 namespace sjs::sim {
@@ -612,6 +615,230 @@ TEST(EngineReset, ClearsTimersFromPreviousRun) {
   auto result = engine.run_to_completion();
   EXPECT_EQ(result.completed_count, 1u);
   for (const auto& e : second.log_) EXPECT_NE(e.kind, 'T');
+}
+
+// The static release/expiry queue is sealed once and reused across reset()
+// while the job count and capacity subscription stay the same. Every test
+// below holds a reused engine to a fresh engine's replay, bit for bit.
+
+/// Tied releases (jobs 0/1 and 2/3), tied deadlines (0/1 at 4, 3/4 at 9), a
+/// release equal to another job's deadline (job 2 at 4, job 4 at 6), and
+/// breakpoints on job times (2, 4, 6, 9) plus one past the last deadline.
+Instance tie_heavy_instance() {
+  return Instance(
+      {make_job(0.0, 2.0, 4.0, 1.0), make_job(0.0, 1.0, 4.0, 3.0),
+       make_job(4.0, 1.0, 6.0, 2.0), make_job(4.0, 3.0, 9.0, 5.0),
+       make_job(6.0, 0.5, 9.0, 1.0), make_job(2.0, 1.5, 6.0, 4.0)},
+      cap::CapacityProfile({0.0, 2.0, 4.0, 6.0, 9.0, 12.0},
+                           {1.0, 2.0, 1.0, 3.0, 2.0, 1.0}));
+}
+
+struct Replay {
+  std::uint64_t digest = 0;
+  std::uint64_t trace_events = 0;
+  SimResult result;
+};
+
+/// One batch run of `engine` (already bound to its scheduler), digested.
+Replay replay(Engine& engine) {
+  obs::DigestSink digest;
+  engine.attach_trace(&digest);
+  Replay out;
+  out.result = engine.run_to_completion();
+  engine.attach_trace(nullptr);
+  out.digest = digest.digest();
+  out.trace_events = digest.event_count();
+  return out;
+}
+
+/// A run of `factory` on a freshly constructed engine.
+Replay fresh_replay(const Instance& instance,
+                    const sched::NamedFactory& factory) {
+  auto scheduler = factory.make();
+  Engine engine(instance, *scheduler);
+  return replay(engine);
+}
+
+void expect_same_replay(const Replay& fresh, const Replay& reused) {
+  EXPECT_EQ(fresh.digest, reused.digest);
+  EXPECT_EQ(fresh.trace_events, reused.trace_events);
+  const SimResult& a = fresh.result;
+  const SimResult& b = reused.result;
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_EQ(a.completed_count, b.completed_count);
+  EXPECT_EQ(a.expired_count, b.expired_count);
+  EXPECT_EQ(a.event_heap_peak, b.event_heap_peak);
+  EXPECT_EQ(a.event_heap_dead_peak, b.event_heap_dead_peak);
+  EXPECT_EQ(a.heap_compactions, b.heap_compactions);
+  EXPECT_EQ(a.timers_armed, b.timers_armed);
+  EXPECT_EQ(a.timer_slab_peak, b.timer_slab_peak);
+  EXPECT_EQ(a.timer_slab_slots, b.timer_slab_slots);
+  EXPECT_EQ(a.timer_cascades, b.timer_cascades);
+  EXPECT_EQ(a.timer_cascade_entries, b.timer_cascade_entries);
+  EXPECT_EQ(a.timer_bucket_peak, b.timer_bucket_peak);
+  // queue_slots is left out: it is the storage the scheduler's queues took
+  // from the thread-local buffer recycler (sched/ready_queue.hpp), so it
+  // depends on which schedulers this thread destroyed before, not on the
+  // engine.
+  EXPECT_EQ(a.queue_peak, b.queue_peak);
+  EXPECT_EQ(a.job_slab_peak, b.job_slab_peak);
+  EXPECT_EQ(a.job_slab_slots, b.job_slab_slots);
+}
+
+sched::NamedFactory vdover_ewma() {
+  sched::VDoverOptions options;
+  options.adaptive_estimate = true;
+  return sched::make_vdover_with(options);
+}
+
+TEST(EngineSeal, StaticEventsPopInTotalOrder) {
+  // Oracle for the merge-built seal: a scheduler that runs nothing sees
+  // exactly the static side — every release, every expiry, and (subscribed)
+  // every breakpoint in (0, max deadline] — which must pop in the engine's
+  // total order: time, then expiry < capacity change < release, then job id.
+  class IdleWatcher : public Scheduler {
+   public:
+    void on_release(Engine&, JobId) override {}
+    void on_complete(Engine&, JobId) override {}
+    void on_expire(Engine&, JobId, bool) override {}
+    bool wants_capacity_events() const override { return true; }
+    std::string name() const override { return "idle-watcher"; }
+  };
+  struct Popped {
+    double time;
+    int rank;
+    JobId job;
+    bool operator<(const Popped& o) const {
+      if (fp::exact_ne(time, o.time)) return time < o.time;
+      if (rank != o.rank) return rank < o.rank;
+      return job < o.job;
+    }
+    bool operator==(const Popped& o) const {
+      return fp::exact_eq(time, o.time) && rank == o.rank && job == o.job;
+    }
+  };
+  const Instance instance = tie_heavy_instance();
+  std::vector<Popped> expected;
+  for (const Job& j : instance.jobs()) {
+    expected.push_back({j.release, 3, j.id});
+    expected.push_back({j.deadline, 1, j.id});
+  }
+  for (double bp : instance.capacity().breakpoints()) {
+    if (bp > 0.0 && bp <= instance.max_deadline()) {
+      expected.push_back({bp, 2, kNoJob});
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+
+  IdleWatcher watcher;
+  Engine engine(instance, watcher);
+  obs::VectorTraceSink sink;
+  engine.attach_trace(&sink);
+  engine.run_to_completion();
+  std::vector<Popped> popped;
+  for (const obs::TraceEvent& e : sink.events()) {
+    if (e.kind == obs::TraceKind::kExpire) popped.push_back({e.time, 1, e.job});
+    if (e.kind == obs::TraceKind::kCapacityChange) {
+      popped.push_back({e.time, 2, kNoJob});
+    }
+    if (e.kind == obs::TraceKind::kRelease) popped.push_back({e.time, 3, e.job});
+  }
+  EXPECT_EQ(popped, expected);
+}
+
+TEST(EngineSeal, TiesReplayIdenticallyOnReusedEngine) {
+  const Instance instance = tie_heavy_instance();
+  for (const auto& factory :
+       {sched::make_vdover(), vdover_ewma(), sched::make_llf(),
+        sched::make_edf(), sched::make_dover(2.0)}) {
+    SCOPED_TRACE(factory.name);
+    const Replay fresh = fresh_replay(instance, factory);
+    // The static side holds every release, expiry and breakpoint up front.
+    EXPECT_GE(fresh.result.event_heap_peak, 2 * instance.size());
+
+    auto first = factory.make();
+    Engine engine(instance, *first);
+    expect_same_replay(fresh, replay(engine));
+    for (int rerun = 0; rerun < 2; ++rerun) {
+      auto again = factory.make();
+      engine.reset(*again);
+      expect_same_replay(fresh, replay(engine));
+    }
+  }
+}
+
+TEST(EngineSeal, ResetAcrossCapacitySubscriptionChanges) {
+  // V-Dover ignores capacity changes, V-Dover-EWMA subscribes to them, so
+  // the seal is rebuilt with and then without the breakpoints.
+  const Instance instance = tie_heavy_instance();
+  const sched::NamedFactory lineup[] = {sched::make_vdover(), vdover_ewma(),
+                                        sched::make_vdover()};
+  std::unique_ptr<Scheduler> scheduler = lineup[0].make();
+  Engine engine(instance, *scheduler);
+  for (std::size_t i = 0; i < std::size(lineup); ++i) {
+    SCOPED_TRACE(lineup[i].name);
+    if (i > 0) {
+      scheduler = lineup[i].make();
+      engine.reset(*scheduler);
+    }
+    expect_same_replay(fresh_replay(instance, lineup[i]), replay(engine));
+  }
+}
+
+TEST(EngineSeal, LiveAndBatchSealsDoNotShareTheCache) {
+  // A live session seals every breakpoint and no job events, a batch run
+  // only the breakpoints up to the last deadline; neither may replay the
+  // other's queue. The empty instance is the case where the two seals
+  // share a job count (zero) yet differ.
+  const Instance ties = tie_heavy_instance();
+  const Instance empty({},
+                       cap::CapacityProfile({0.0, 2.0, 4.0}, {1.0, 2.0, 1.0}));
+  for (const Instance* instance : {&ties, &empty}) {
+    for (const auto& factory : {vdover_ewma(), sched::make_vdover()}) {
+      SCOPED_TRACE(factory.name + " on " + std::to_string(instance->size()) +
+                   " jobs");
+      const Replay fresh = fresh_replay(*instance, factory);
+      auto fresh_live_scheduler = factory.make();
+      Engine fresh_live(*instance, *fresh_live_scheduler);
+      fresh_live.begin_live();
+      const SimResult fresh_live_result = fresh_live.finish_live();
+
+      auto batch = factory.make();
+      Engine engine(*instance, *batch);
+      expect_same_replay(fresh, replay(engine));
+
+      // Nor may the live session replay the cached batch queue.
+      auto live = factory.make();
+      engine.reset(*live);
+      engine.begin_live();
+      const SimResult live_result = engine.finish_live();
+      EXPECT_EQ(live_result.events_processed,
+                fresh_live_result.events_processed);
+      EXPECT_EQ(live_result.completed_count, fresh.result.completed_count);
+
+      auto after = factory.make();
+      engine.reset(*after);
+      expect_same_replay(fresh, replay(engine));
+    }
+  }
+}
+
+// ------------------------------------------------- completion residue
+
+TEST(Engine, CompletionClampedOntoLateDeadlineCompletes) {
+  // At c = 35 the exact completion lands 5e-4 after a deadline of 1e6, inside
+  // the 1e-3 deadline tolerance, so it is clamped onto the deadline and
+  // 35 * 5e-4 of work is left at the completion event: far above 1e-6 of
+  // the workload, but exactly what the clamp cut off.
+  Instance instance({make_job(999999.0, 35.0 * 1.0005, 1e6, 1.0)},
+                    cap::CapacityProfile(35.0));
+  RunOnReleaseScheduler sched;
+  Engine engine(instance, sched);
+  SimResult result;
+  ASSERT_NO_THROW(result = engine.run_to_completion());
+  EXPECT_EQ(result.completed_count, 1u);
+  EXPECT_EQ(result.expired_count, 0u);
+  EXPECT_DOUBLE_EQ(result.completion_times[0], 1e6);
 }
 
 TEST(Engine, GeneratedValueEqualsInstanceTotal) {

@@ -216,7 +216,12 @@ TEST(LintCallGraph, ThreeDeepTaintChainIsReconstructed) {
 class LintCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "sjs_lint_cache_test";
+    // One directory per case: ctest -j runs the cases as parallel
+    // processes, and a shared directory would let one case's remove_all
+    // delete another's files mid-run.
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = fs::path(::testing::TempDir()) / ("sjs_lint_cache_test_" + name);
     fs::remove_all(dir_);
     fs::create_directories(dir_ / "src" / "util");
     cache_ = dir_ / "index.cache";

@@ -144,6 +144,19 @@ TEST(MultiEngine, StopAndIdleWork) {
   EXPECT_DOUBLE_EQ(result.executed_work[0], 1.0);  // only [0, 1)
 }
 
+TEST(MultiEngine, CompletionClampedOntoLateDeadlineCompletes) {
+  // The multi-server twin of the engine_test case: at rate 35 the exact
+  // completion lands 5e-4 past a deadline of 1e6, inside the deadline
+  // tolerance, so it is clamped and leaves 35 * 5e-4 of work behind.
+  auto jobs = canonical({make_job(0, 999999.0, 35.0 * 1.0005, 1e6, 1.0)});
+  GlobalKeyScheduler scheduler(GlobalKey::kDeadline);
+  MultiEngine engine(jobs, uniform_fleet(1, 35.0), scheduler);
+  MultiSimResult result;
+  ASSERT_NO_THROW(result = engine.run_to_completion());
+  EXPECT_EQ(result.completed_count, 1u);
+  EXPECT_DOUBLE_EQ(result.completion_times[0], 1e6);
+}
+
 TEST(MultiEngine, RejectsMisuse) {
   auto jobs = canonical({make_job(0, 0.0, 1.0, 2.0, 1.0)});
   GlobalKeyScheduler scheduler(GlobalKey::kDeadline);

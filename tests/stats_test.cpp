@@ -1,10 +1,11 @@
-// Unit tests for src/stats: Welford accumulators, summaries, histograms,
-// step-function time series.
+// Unit tests for src/stats: Welford and exact-moment accumulators,
+// summaries, histograms, step-function time series.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "stats/exact_moments.hpp"
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
 #include "stats/timeseries.hpp"
@@ -95,6 +96,68 @@ TEST(Welford, SemShrinksWithSamples) {
   for (int i = 0; i < 10; ++i) small.add(rng.normal());
   for (int i = 0; i < 1000; ++i) large.add(rng.normal());
   EXPECT_GT(small.sem(), large.sem());
+}
+
+// ----------------------------------------------------------- ExactMoments
+
+TEST(ExactSum, IsCorrectlyRounded) {
+  ExactSum s;
+  // Naive left-to-right summation returns 0 here; the exact sum is 2.
+  for (double x : {1.0, 1e100, 1.0, -1e100}) s.add(x);
+  EXPECT_EQ(s.value(), 2.0);
+  // Ten 0.1s: naive summation gives 0.9999999999999999.
+  ExactSum tenths;
+  for (int i = 0; i < 10; ++i) tenths.add(0.1);
+  EXPECT_EQ(tenths.value(), 1.0);
+}
+
+TEST(ExactMoments, MatchesClosedForms) {
+  ExactMoments m;
+  for (int i = 0; i < 1000; ++i) m.add(static_cast<double>(i));
+  EXPECT_EQ(m.count(), 1000u);
+  EXPECT_EQ(m.mean(), 499.5);
+  // Sample variance of 0..n-1 is n(n+1)/12.
+  EXPECT_DOUBLE_EQ(m.variance_sample(), 1000.0 * 1001.0 / 12.0);
+  EXPECT_DOUBLE_EQ(m.variance_population(), (1000.0 * 1000.0 - 1.0) / 12.0);
+  EXPECT_EQ(m.min(), 0.0);
+  EXPECT_EQ(m.max(), 999.0);
+}
+
+TEST(ExactMoments, NoCancellationWithLargeOffset) {
+  ExactMoments m;
+  for (double x : {1e9 + 4.0, 1e9 + 7.0, 1e9 + 13.0, 1e9 + 16.0}) m.add(x);
+  EXPECT_EQ(m.mean(), 1e9 + 10.0);
+  EXPECT_EQ(m.variance_sample(), 30.0);
+}
+
+TEST(ExactMoments, IndependentOfOrderAndSharding) {
+  // The same multiset, fed in shuffled order and split into shards merged
+  // in shuffled order, must read back bit-identical moments.
+  Rng rng(7);
+  std::vector<double> xs;
+  for (int i = 0; i < 997; ++i) xs.push_back(rng.uniform(0.0, 1.0) * 1e3);
+  ExactMoments whole;
+  for (double x : xs) whole.add(x);
+  for (int trial = 0; trial < 20; ++trial) {
+    rng.shuffle(xs);
+    const std::size_t shards = 1 + static_cast<std::size_t>(trial % 7);
+    std::vector<ExactMoments> parts(shards);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      parts[static_cast<std::size_t>(rng.below(shards))].add(xs[i]);
+    }
+    rng.shuffle(parts);
+    ExactMoments merged;
+    for (const ExactMoments& part : parts) merged.merge(part);
+    EXPECT_EQ(merged.count(), whole.count());
+    EXPECT_EQ(merged.mean(), whole.mean());
+    EXPECT_EQ(merged.variance_sample(), whole.variance_sample());
+    EXPECT_EQ(merged.min(), whole.min());
+    EXPECT_EQ(merged.max(), whole.max());
+  }
+  Welford reference;
+  for (double x : xs) reference.add(x);
+  EXPECT_NEAR(whole.mean(), reference.mean(), 1e-9);
+  EXPECT_NEAR(whole.variance_sample(), reference.variance_sample(), 1e-6);
 }
 
 // ---------------------------------------------------------------- Summary
