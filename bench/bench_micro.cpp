@@ -26,7 +26,7 @@
 #include "sched/ready_queue.hpp"
 #include "sched/vdover.hpp"
 #include "serve/protocol.hpp"
-#include "serve/shard_worker.hpp"
+#include "serve/session.hpp"
 #include "sim/engine.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
@@ -266,7 +266,7 @@ BENCHMARK(BM_ClusterScenario)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_LiveSteadyState(benchmark::State& state) {
   // The sjs_serve steady state without sockets: one warmed live-mode
-  // session, pre-sized the way AdmissionServer::start() pre-sizes from
+  // session, pre-sized the way Session::begin() pre-sizes from
   // --max-in-flight, admitting one job and advancing virtual time per
   // iteration. Live ids are dense (never reused), so the pre-size covers
   // the whole fixed-length session; after the warm-up batch every structure
@@ -599,20 +599,20 @@ void BM_ChannelThroughput(benchmark::State& state) {
   // channel overhead — lock, slot state machine, and coalesced wakeup —
   // without thread-scheduling noise.
   const auto batch = static_cast<std::size_t>(state.range(0));
-  sjs::conc::Channel<sjs::serve::ShardRequest> channel(1024);
-  sjs::serve::ShardRequest req;
-  req.kind = sjs::serve::ShardRequest::Kind::kSubmit;
+  sjs::conc::Channel<sjs::serve::Request> channel(1024);
+  sjs::serve::Request req;
+  req.type = sjs::serve::MsgType::kSubmit;
   std::uint64_t moved = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < batch; ++i) {
       req.ticket = i;
       while (channel.try_send(req) != sjs::conc::SendStatus::kOk) {
-        sjs::serve::ShardRequest out;
+        sjs::serve::Request out;
         while (channel.try_pop(out) == sjs::conc::PopStatus::kOk) ++moved;
       }
     }
     channel.drain_wakeups();
-    sjs::serve::ShardRequest out;
+    sjs::serve::Request out;
     while (channel.try_pop(out) == sjs::conc::PopStatus::kOk) ++moved;
     benchmark::DoNotOptimize(moved);
   }

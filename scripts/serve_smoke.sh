@@ -5,7 +5,8 @@
 #
 #   1. the server drains cleanly on SIGTERM (exit 0),
 #   2. jobs actually completed (nonzero server completed counter AND a
-#      nonzero server.jobs_completed metric),
+#      nonzero server.jobs_completed metric), and the rollup
+#      server.jobs_accepted metric equals the summary's accepted count,
 #   3. the journal directory is a parseable instance bundle, and
 #   4. replaying it through sjs_sim reproduces the live outcomes
 #      byte-identically (diff of outcomes.csv).
@@ -117,9 +118,20 @@ smoke_phase() {
     echo "FAIL($tag): server.jobs_completed metric missing or zero" >&2
     exit 1
   }
+
+  # The rollup metric and the summary line count the same admissions.
+  local accepted accepted_metric
+  accepted="$(sed -n 's/^server: .* \([0-9]*\) accepted,.*/\1/p' "$server_log")"
+  accepted_metric="$(awk '/^ *server\.jobs_accepted:/ { print $2 }' "$server_log")"
+  [ -n "$accepted" ] && [ -n "$accepted_metric" ] &&
+    awk -v a="$accepted" -v m="$accepted_metric" 'BEGIN { exit !(a == m) }' || {
+    echo "FAIL($tag): server.jobs_accepted metric ($accepted_metric) !=" \
+      "summary accepted ($accepted)" >&2
+    exit 1
+  }
 }
 
-# --- Phase 1: single-threaded AdmissionServer (the original gate) ----------
+# --- Phase 1: single-threaded inline session (the original gate) ----------
 smoke_phase single "$WORK/journal" --
 replay_bundle "$WORK/journal" single
 SINGLE_COMPLETED="$COMPLETED"

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "capacity/trace_io.hpp"
+#include "jobs/instance.hpp"
 #include "util/logging.hpp"
 
 namespace sjs::cluster {
@@ -21,86 +22,22 @@ std::string server_trace_name(std::size_t k) {
 ClusterJournal::ClusterJournal(const std::string& dir, const Fleet& fleet,
                                const std::vector<cap::CapacityProfile>& paths,
                                const Meta& meta)
-    : dir_(dir) {
+    : JournalWriter(dir, {{"scheduler", meta.scheduler},
+                          {"cluster", std::to_string(fleet.size())},
+                          {"sched_key", meta.key},
+                          {"rental", meta.rental},
+                          {"budget", format_double(meta.budget)},
+                          {"min_rented", std::to_string(meta.min_rented)},
+                          {"accel", format_double(meta.accel)},
+                          {"admission_check",
+                           meta.admission_check ? "1" : "0"}}) {
   SJS_CHECK(fleet.size() > 0);
   SJS_CHECK(paths.size() == fleet.size());
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    throw std::runtime_error("cannot create cluster journal directory " + dir +
-                             ": " + ec.message());
-  }
-  save_fleet_csv(fleet, (fs::path(dir) / "fleet.csv").string());
+  save_fleet_csv(fleet, path("fleet.csv"));
   for (std::size_t k = 0; k < paths.size(); ++k) {
-    cap::save_trace(paths[k], (fs::path(dir) / server_trace_name(k)).string());
+    cap::save_trace(paths[k], path(server_trace_name(k)));
   }
-  {
-    CsvWriter band((fs::path(dir) / "band.csv").string());
-    band.write_row({"c_lo", "c_hi"});
-    band.write_row_numeric({fleet.admission_c_lo(), fleet.max_hi()});
-  }
-  {
-    CsvWriter m((fs::path(dir) / "meta.csv").string());
-    m.write_row({"key", "value"});
-    m.write_row({"scheduler", meta.scheduler});
-    m.write_row({"cluster", std::to_string(fleet.size())});
-    m.write_row({"sched_key", meta.key});
-    m.write_row({"rental", meta.rental});
-    m.write_row({"budget", format_double(meta.budget)});
-    m.write_row({"min_rented", std::to_string(meta.min_rented)});
-    m.write_row({"accel", format_double(meta.accel)});
-    m.write_row({"admission_check", meta.admission_check ? "1" : "0"});
-  }
-  jobs_csv_ = std::make_unique<CsvWriter>((fs::path(dir) / "jobs.csv").string());
-  jobs_csv_->write_row({"id", "release", "workload", "deadline", "value"});
-  jobs_csv_->flush();
-  cancels_csv_ =
-      std::make_unique<CsvWriter>((fs::path(dir) / "cancels.csv").string());
-  cancels_csv_->write_row({"time", "ticket"});
-  cancels_csv_->flush();
-  if (!jobs_csv_->ok() || !cancels_csv_->ok()) {
-    throw std::runtime_error("cluster journal header write failed in " + dir);
-  }
-}
-
-void ClusterJournal::record_admit(const Job& job) {
-  // Same row layout and %.17g formatting as serve::Journal::record_admit, so
-  // the bundle loader reconstructs the admitted stream bit-exactly.
-  const double row[] = {static_cast<double>(job.id), job.release, job.workload,
-                        job.deadline, job.value};
-  jobs_csv_->write_row_numeric(row, 5);
-  jobs_csv_->flush();
-  // An ofstream swallows short writes and ENOSPC into its failbit; a row the
-  // client was promised durable must not vanish silently.
-  if (!jobs_csv_->ok()) {
-    throw std::runtime_error("cluster journal append failed (jobs.csv in " +
-                             dir_ + "): disk full or I/O error");
-  }
-  ++admit_rows_;
-}
-
-void ClusterJournal::record_cancel(double time, JobId job) {
-  const double row[] = {time, static_cast<double>(job)};
-  cancels_csv_->write_row_numeric(row, 2);
-  cancels_csv_->flush();
-  if (!cancels_csv_->ok()) {
-    throw std::runtime_error("cluster journal append failed (cancels.csv in " +
-                             dir_ + "): disk full or I/O error");
-  }
-  ++cancel_rows_;
-}
-
-void ClusterJournal::close() {
-  if (jobs_csv_) jobs_csv_->flush();
-  if (cancels_csv_) cancels_csv_->flush();
-  const bool failed = (jobs_csv_ && !jobs_csv_->ok()) ||
-                      (cancels_csv_ && !cancels_csv_->ok());
-  jobs_csv_.reset();
-  cancels_csv_.reset();
-  if (failed) {
-    throw std::runtime_error("cluster journal close failed in " + dir_ +
-                             ": disk full or I/O error");
-  }
+  serve::save_band_csv(dir, fleet.admission_c_lo(), fleet.max_hi());
 }
 
 ClusterBundle load_cluster_bundle(const std::string& dir) {
@@ -114,49 +51,14 @@ ClusterBundle load_cluster_bundle(const std::string& dir) {
     bundle.paths.push_back(
         cap::load_trace((fs::path(dir) / server_trace_name(k)).string()));
   }
-
-  {
-    const auto rows = read_csv((fs::path(dir) / "meta.csv").string());
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-      if (rows[i].size() != 2) {
-        throw std::runtime_error("malformed meta.csv row in " + dir);
-      }
-      bundle.meta[rows[i][0]] = rows[i][1];
+  bundle.meta = serve::read_journal_meta(dir);
+  bundle.jobs = Instance::load_jobs((fs::path(dir) / "jobs.csv").string());
+  for (std::size_t i = 0; i < bundle.jobs.size(); ++i) {
+    if (bundle.jobs[i].id != static_cast<JobId>(i)) {
+      throw std::runtime_error("non-dense job ids in cluster bundle " + dir);
     }
   }
-
-  {
-    const auto rows = read_csv((fs::path(dir) / "jobs.csv").string());
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-      if (rows[i].size() != 5) {
-        throw std::runtime_error("malformed jobs.csv row in " + dir);
-      }
-      Job j;
-      j.id = static_cast<JobId>(std::stol(rows[i][0]));
-      j.release = std::stod(rows[i][1]);
-      j.workload = std::stod(rows[i][2]);
-      j.deadline = std::stod(rows[i][3]);
-      j.value = std::stod(rows[i][4]);
-      if (j.id != static_cast<JobId>(bundle.jobs.size())) {
-        throw std::runtime_error("non-dense job ids in cluster bundle " + dir);
-      }
-      bundle.jobs.push_back(j);
-    }
-  }
-
-  {
-    const auto path = (fs::path(dir) / "cancels.csv").string();
-    if (fs::exists(path)) {
-      const auto rows = read_csv(path);
-      for (std::size_t i = 1; i < rows.size(); ++i) {
-        if (rows[i].size() != 2) {
-          throw std::runtime_error("malformed cancels.csv row in " + dir);
-        }
-        bundle.cancels.emplace_back(std::stod(rows[i][0]),
-                                    static_cast<JobId>(std::stol(rows[i][1])));
-      }
-    }
-  }
+  bundle.cancels = serve::read_journal_cancels(dir);
   return bundle;
 }
 

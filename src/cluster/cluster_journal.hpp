@@ -1,13 +1,12 @@
-// Append-only cluster admission journal, laid out as a loadable cluster
-// bundle — the fleet analogue of serve::Journal.
+// The fleet plane's journal header: serve::JournalWriter plus the files a
+// cluster bundle needs to replay.
 //
 // Directory layout (all %.17g doubles, so every stamp round-trips exactly):
 //   fleet.csv      server,c_lo,c_hi,speed,cost_rate — the machine set
 //   server<k>.csv  time,rate — server k's capacity path (written once)
 //   band.csv       c_lo,c_hi — the fleet admission band (info)
 //   meta.csv       key,value — scheduler key, rental policy, budget, accel...
-//   jobs.csv       appended+flushed per admitted job (id,release,workload,
-//                  deadline,value — the Instance row layout)
+//   jobs.csv       appended+flushed per admitted job (the Instance layout)
 //   cancels.csv    time,ticket (a session with cancels is not replayable)
 //   outcomes.csv   written at drain (cloud::save_multi_outcomes_csv)
 //
@@ -16,20 +15,19 @@
 // (tests/cluster_serve_test.cpp; gated in CI by scripts/serve_smoke.sh).
 #pragma once
 
-#include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
 #include "cluster/fleet.hpp"
 #include "jobs/job.hpp"
-#include "util/csv.hpp"
+#include "serve/journal.hpp"
 
 namespace sjs::cluster {
 
-class ClusterJournal {
+class ClusterJournal : public serve::JournalWriter {
  public:
   struct Meta {
     std::string scheduler;       ///< dispatcher name ("Cluster-EDF/threshold")
@@ -41,30 +39,11 @@ class ClusterJournal {
     bool admission_check = true;
   };
 
-  /// Creates the directory, writes fleet/server<k>/band/meta headers, opens
-  /// jobs.csv and cancels.csv for appending. Throws on I/O failure.
+  /// Writes the fleet/server<k>/band headers beside the journal writer's
+  /// meta.csv, jobs.csv and cancels.csv. Throws on I/O failure.
   ClusterJournal(const std::string& dir, const Fleet& fleet,
                  const std::vector<cap::CapacityProfile>& paths,
                  const Meta& meta);
-
-  /// Appends one admitted job and flushes (throws on short write — same
-  /// durability contract as serve::Journal::record_admit).
-  void record_admit(const Job& job);
-  /// Appends one cancellation (throws on write failure).
-  void record_cancel(double time, JobId job);
-  /// Flushes and closes; throws if the final flush fails.
-  void close();
-
-  const std::string& dir() const { return dir_; }
-  std::uint64_t admit_count() const { return admit_rows_; }
-  std::uint64_t cancel_count() const { return cancel_rows_; }
-
- private:
-  std::string dir_;
-  std::unique_ptr<CsvWriter> jobs_csv_;
-  std::unique_ptr<CsvWriter> cancels_csv_;
-  std::uint64_t admit_rows_ = 0;
-  std::uint64_t cancel_rows_ = 0;
 };
 
 /// Everything needed to replay a cluster session.

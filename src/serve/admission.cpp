@@ -28,9 +28,8 @@ AdmissionGate::Decision AdmissionGate::evaluate(
     d.reply = MsgType::kShed;
     return d;
   }
-  // The stamp is consumed before validation (an invalid submit still
-  // advances the chain) — this matches the pre-sharding AdmissionServer
-  // byte-for-byte, which the N=1 journal-identity test depends on.
+  // The stamp is consumed before validation: an invalid submit still
+  // advances the chain.
   d.job.release = stamp(virtual_now, engine_now);
   d.job.workload = workload;
   d.job.deadline = d.job.release + rel_deadline;

@@ -1,6 +1,5 @@
-// AdmissionGate — the per-engine admission decision procedure, factored out
-// of AdmissionServer so the single-threaded server and every shard worker of
-// the sharded plane (serve/shard_worker.hpp) run the IDENTICAL sequence:
+// AdmissionGate — the per-engine admission decision procedure that every
+// serve::Session (serve/session.hpp) runs, on every plane:
 //
 //   draining              → REJECTED(draining)
 //   in_flight >= limit    → SHED                  (backpressure)
@@ -12,9 +11,7 @@
 // The gate owns the strictly-increasing admission-stamp chain
 // (max(virtual_now, engine_now), nextafter on collision) that the journal
 // replay contract depends on; one gate per engine, used from that engine's
-// thread only. Byte-identity between the N=1 sharded server and the
-// single-threaded server (tests/sharded_serve_test.cpp) holds because both
-// call this one implementation.
+// thread only.
 #pragma once
 
 #include <cstdint>

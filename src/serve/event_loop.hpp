@@ -9,7 +9,7 @@
 // shed, not wedge the admission path or grow without bound).
 //
 // Framing, protocol state, and scheduling live above this layer
-// (serve::AdmissionServer); the loop deals in raw bytes only.
+// (serve::Server); the loop deals in raw bytes only.
 #pragma once
 
 #include <poll.h>

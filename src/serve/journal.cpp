@@ -9,8 +9,7 @@ namespace sjs::serve {
 
 namespace fs = std::filesystem;
 
-Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
-                 double c_lo, double c_hi, const Meta& meta)
+JournalWriter::JournalWriter(const std::string& dir, const MetaRows& meta)
     : dir_(dir) {
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -18,24 +17,15 @@ Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
     throw std::runtime_error("cannot create journal directory " + dir + ": " +
                              ec.message());
   }
-  cap::save_trace(capacity, (fs::path(dir) / "capacity.csv").string());
   {
-    CsvWriter band((fs::path(dir) / "band.csv").string());
-    band.write_row({"c_lo", "c_hi"});
-    band.write_row_numeric({c_lo, c_hi});
-  }
-  {
-    CsvWriter m((fs::path(dir) / "meta.csv").string());
+    CsvWriter m(path("meta.csv"));
     m.write_row({"key", "value"});
-    m.write_row({"scheduler", meta.scheduler});
-    m.write_row({"accel", format_double(meta.accel)});
-    m.write_row({"admission_check", meta.admission_check ? "1" : "0"});
+    for (const auto& [key, value] : meta) m.write_row({key, value});
   }
-  jobs_csv_ = std::make_unique<CsvWriter>((fs::path(dir) / "jobs.csv").string());
+  jobs_csv_ = std::make_unique<CsvWriter>(path("jobs.csv"));
   jobs_csv_->write_row({"id", "release", "workload", "deadline", "value"});
   jobs_csv_->flush();
-  cancels_csv_ =
-      std::make_unique<CsvWriter>((fs::path(dir) / "cancels.csv").string());
+  cancels_csv_ = std::make_unique<CsvWriter>(path("cancels.csv"));
   cancels_csv_->write_row({"time", "ticket"});
   cancels_csv_->flush();
   if (!jobs_csv_->ok() || !cancels_csv_->ok()) {
@@ -43,9 +33,13 @@ Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
   }
 }
 
-void Journal::record_admit(const Job& job) {
+std::string JournalWriter::path(const std::string& file) const {
+  return (fs::path(dir_) / file).string();
+}
+
+void JournalWriter::record_admit(const Job& job) {
   // Same row layout and %.17g formatting as Instance::save_jobs, so the
-  // bundle loader reconstructs the admitted stream bit-exactly.
+  // bundle loaders reconstruct the admitted stream bit-exactly.
   const double row[] = {static_cast<double>(job.id), job.release, job.workload,
                         job.deadline, job.value};
   jobs_csv_->write_row_numeric(row, 5);
@@ -60,7 +54,7 @@ void Journal::record_admit(const Job& job) {
   ++admit_rows_;
 }
 
-void Journal::record_cancel(double time, JobId job) {
+void JournalWriter::record_cancel(double time, JobId job) {
   const double row[] = {time, static_cast<double>(job)};
   cancels_csv_->write_row_numeric(row, 2);
   cancels_csv_->flush();
@@ -71,7 +65,7 @@ void Journal::record_cancel(double time, JobId job) {
   ++cancel_rows_;
 }
 
-void Journal::close() {
+void JournalWriter::close() {
   if (jobs_csv_) jobs_csv_->flush();
   if (cancels_csv_) cancels_csv_->flush();
   const bool failed = (jobs_csv_ && !jobs_csv_->ok()) ||
@@ -82,6 +76,22 @@ void Journal::close() {
     throw std::runtime_error("journal close failed in " + dir_ +
                              ": disk full or I/O error");
   }
+}
+
+Journal::Journal(const std::string& dir, const cap::CapacityProfile& capacity,
+                 double c_lo, double c_hi, const Meta& meta)
+    : JournalWriter(dir, {{"scheduler", meta.scheduler},
+                          {"accel", format_double(meta.accel)},
+                          {"admission_check",
+                           meta.admission_check ? "1" : "0"}}) {
+  cap::save_trace(capacity, path("capacity.csv"));
+  save_band_csv(dir, c_lo, c_hi);
+}
+
+void save_band_csv(const std::string& dir, double c_lo, double c_hi) {
+  CsvWriter band((fs::path(dir) / "band.csv").string());
+  band.write_row({"c_lo", "c_hi"});
+  band.write_row_numeric({c_lo, c_hi});
 }
 
 std::map<std::string, std::string> read_journal_meta(const std::string& dir) {

@@ -1,30 +1,36 @@
-// Append-only admission journal, laid out as an instance bundle.
+// Append-only admission journal, laid out as a replayable bundle.
 //
-// The journal directory IS a loadable bundle (jobs.csv + capacity.csv +
-// band.csv, the src/jobs/bundle.hpp layout): capacity and band are written
-// once at session start, and every admitted job appends one row to jobs.csv
-// the moment it is accepted — %.17g doubles, so the admission stamps
-// round-trip bit-exactly. Replay is therefore just
+// JournalWriter is the one class that writes a serving session's durable
+// record, for every plane: it creates the directory, writes meta.csv, and
+// appends one row to jobs.csv (and cancels.csv) per admission (and per
+// cancellation), flushed before the client sees the reply — %.17g doubles,
+// so the admission stamps round-trip bit-exactly. A backend supplies only
+// its header files, through a thin subclass:
 //
-//   sjs_sim --bundle=<journal dir> --scheduler=<meta.csv scheduler>
+//   serve::Journal           capacity.csv + band.csv — an instance bundle,
+//                            replayed by `sjs_sim --bundle=<dir>
+//                            --scheduler=<meta.csv scheduler>`
+//   cluster::ClusterJournal  fleet.csv + server<k>.csv + band.csv — a
+//                            cluster bundle (cluster/cluster_journal.hpp)
 //
-// and must reproduce the live session's completion set and captured value
-// exactly (the engine's live mode guarantees it; asserted in
+// Replay must reproduce the live session's completion set and captured
+// value exactly (the engines' live modes guarantee it; asserted in
 // tests/serve_test.cpp and gated in CI by scripts/serve_smoke.sh).
 //
-// Extra session files (ignored by the bundle loader):
-//   meta.csv     key,value — scheduler name, accel, admission flag
+// Session files beside the bundle (ignored by the bundle loaders):
+//   meta.csv     key,value — scheduler name, accel, admission flag, ...
 //   cancels.csv  time,ticket — client cancellations. A session with cancels
-//                is NOT replayable through sjs_sim (the replay input has no
-//                cancel channel); readers must check cancel_count.
-//   outcomes.csv written at drain by sjs_serve (sim::save_outcomes_csv) so
-//                the replay gate can diff live vs replayed outcomes.
+//                is NOT replayable (the replay input has no cancel
+//                channel); readers must check cancel_count.
+//   outcomes.csv written at drain so the replay gate can diff live vs
+//                replayed outcomes.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
@@ -33,19 +39,18 @@
 
 namespace sjs::serve {
 
-class Journal {
+class JournalWriter {
  public:
-  struct Meta {
-    std::string scheduler;
-    double accel = 1.0;
-    bool admission_check = true;
-  };
+  using MetaRows = std::vector<std::pair<std::string, std::string>>;
 
-  /// Creates the journal directory (if missing), writes capacity.csv,
-  /// band.csv, and meta.csv, and opens jobs.csv / cancels.csv for appending.
-  /// Throws std::runtime_error on I/O failure.
-  Journal(const std::string& dir, const cap::CapacityProfile& capacity,
-          double c_lo, double c_hi, const Meta& meta);
+  /// Creates the directory (if missing), writes meta.csv, and opens jobs.csv
+  /// and cancels.csv for appending. Throws std::runtime_error on I/O
+  /// failure.
+  JournalWriter(const std::string& dir, const MetaRows& meta);
+  virtual ~JournalWriter() = default;
+
+  JournalWriter(const JournalWriter&) = delete;
+  JournalWriter& operator=(const JournalWriter&) = delete;
 
   /// Appends one admitted job and flushes the row (an admission the client
   /// saw ACCEPTED for must be on disk before the next poll). Throws
@@ -65,6 +70,9 @@ class Journal {
   std::uint64_t admit_count() const { return admit_rows_; }
   std::uint64_t cancel_count() const { return cancel_rows_; }
 
+ protected:
+  std::string path(const std::string& file) const;
+
  private:
   std::string dir_;
   std::unique_ptr<CsvWriter> jobs_csv_;
@@ -72,6 +80,22 @@ class Journal {
   std::uint64_t admit_rows_ = 0;
   std::uint64_t cancel_rows_ = 0;
 };
+
+/// The single-engine journal: an instance bundle (capacity.csv + band.csv).
+class Journal : public JournalWriter {
+ public:
+  struct Meta {
+    std::string scheduler;
+    double accel = 1.0;
+    bool admission_check = true;
+  };
+
+  Journal(const std::string& dir, const cap::CapacityProfile& capacity,
+          double c_lo, double c_hi, const Meta& meta);
+};
+
+/// Writes band.csv (c_lo,c_hi) into `dir`.
+void save_band_csv(const std::string& dir, double c_lo, double c_hi);
 
 /// meta.csv as a key→value map. Throws on missing/malformed file.
 std::map<std::string, std::string> read_journal_meta(const std::string& dir);

@@ -1,7 +1,7 @@
 // Integration tests for the fleet-backed admission service
-// (src/cluster/cluster_server.hpp).
+// (serve::Server over cluster::FleetBackend, src/cluster/fleet_backend.hpp).
 //
-// The flagship test drives a ClusterServer over a real loopback socket under
+// The flagship test drives a FleetServer over a real loopback socket under
 // a FakeClock, drains it, then loads the journal directory as a cluster
 // bundle and re-runs it through a fresh Dispatcher + MultiEngine — job
 // outcomes, completion times, and outcomes.csv must match the live session
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "cluster/cluster_journal.hpp"
-#include "cluster/cluster_server.hpp"
+#include "cluster/fleet_backend.hpp"
 #include "cluster/dispatcher.hpp"
 #include "obs/metrics.hpp"
 #include "serve/clock.hpp"
@@ -39,9 +39,9 @@
 
 namespace {
 
-using sjs::cluster::ClusterServer;
 using sjs::cluster::ClusterServerConfig;
 using sjs::cluster::Fleet;
+using sjs::cluster::FleetServer;
 using sjs::serve::FakeClock;
 using sjs::serve::FrameDecoder;
 using sjs::serve::JobState;
@@ -63,7 +63,7 @@ std::string slurp(const std::string& path) {
 }
 
 /// A raw nonblocking loopback client; same single-threaded await idiom as
-/// tests/serve_test.cpp, retargeted at ClusterServer.
+/// tests/serve_test.cpp, retargeted at FleetServer.
 class TestClient {
  public:
   explicit TestClient(int port) {
@@ -112,7 +112,7 @@ class TestClient {
   }
 
   template <typename Pred>
-  Message await(ClusterServer& server, Pred pred, int spins = 1000) {
+  Message await(FleetServer& server, Pred pred, int spins = 1000) {
     for (int i = 0; i < spins; ++i) {
       for (std::size_t j = scanned_; j < inbox.size(); ++j) {
         if (pred(inbox[j])) {
@@ -128,7 +128,7 @@ class TestClient {
     return Message{};
   }
 
-  Message await_seq(ClusterServer& server, std::uint64_t seq) {
+  Message await_seq(FleetServer& server, std::uint64_t seq) {
     return await(server, [seq](const Message& m) { return m.seq == seq; });
   }
 
@@ -177,7 +177,7 @@ struct SessionOutput {
   std::uint64_t notified_expired = 0;
 };
 
-/// Drives one fixed 60-submission session against a FakeClock ClusterServer:
+/// Drives one fixed 60-submission session against a FakeClock FleetServer:
 /// the offered load (~mean workload 40 every 1/8 virtual second ≈ 320/s)
 /// swamps the 3-machine fleet's peak throughput of 122.5, so the EDF backlog
 /// pushes jobs past their (floor-sized, short) windows and both COMPLETED
@@ -187,7 +187,7 @@ SessionOutput run_scripted_session(const std::string& journal_dir) {
   FakeClock clock;
   ClusterServerConfig config = scripted_config(journal_dir);
   const double floor = config.fleet.admission_c_lo();
-  ClusterServer server(std::move(config), clock);
+  FleetServer server(std::move(config), clock);
   const int port = server.start();
   TestClient client(port);
 
@@ -232,7 +232,7 @@ SessionOutput run_scripted_session(const std::string& journal_dir) {
     if (m.type == MsgType::kExpired) ++out.notified_expired;
   }
   out.live = server.result();
-  out.jobs = server.jobs();
+  out.jobs = server.backend().jobs();
   return out;
 }
 
@@ -344,7 +344,7 @@ TEST(ClusterServeTest, ScriptedSessionIsDeterministicAcrossRuns) {
 
 TEST(ClusterServeTest, RejectsJobsHopelessEvenOnTheStrongestMachine) {
   FakeClock clock;
-  ClusterServer server(scripted_config(""), clock);
+  FleetServer server(scripted_config(""), clock);
   TestClient client(server.start());
   // Fleet floor is 60 (the large machine's guaranteed rate): workload 600
   // needs a 10-second window even on the best floor, so a window of 4 is
@@ -363,7 +363,7 @@ TEST(ClusterServeTest, RejectsJobsHopelessEvenOnTheStrongestMachine) {
 TEST(ClusterServeTest, CancelSemanticsAndCancelJournal) {
   const std::string dir = fresh_dir("cluster_cancel");
   FakeClock clock;
-  ClusterServer server(scripted_config(dir), clock);
+  FleetServer server(scripted_config(dir), clock);
   TestClient client(server.start());
 
   // Big enough that the large machine (rate 70) is still chewing on it when
@@ -410,7 +410,7 @@ TEST(ClusterServeTest, CancelSemanticsAndCancelJournal) {
 TEST(ClusterServeTest, QueryAndStatsReflectTheFleet) {
   FakeClock clock;
   ClusterServerConfig config = scripted_config("");
-  ClusterServer server(std::move(config), clock);
+  FleetServer server(std::move(config), clock);
   TestClient client(server.start());
 
   client.send(submit_msg(1, 70.0, 100.0, 2.0));
@@ -463,7 +463,7 @@ TEST(ClusterServeTest, QueryAndStatsReflectTheFleet) {
 TEST(ClusterServeTest, PublishesClusterMetricsAtDrain) {
   sjs::obs::MetricsRegistry metrics;
   FakeClock clock;
-  ClusterServer server(scripted_config(""), clock, &metrics);
+  FleetServer server(scripted_config(""), clock, &metrics);
   TestClient client(server.start());
   client.send(submit_msg(1, 10.0, 20.0, 1.0));
   ASSERT_EQ(client.await_seq(server, 1).type, MsgType::kAccepted);

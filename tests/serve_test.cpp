@@ -1,6 +1,6 @@
 // Integration tests for the real-time admission service (src/serve/).
 //
-// The flagship test drives an AdmissionServer over a real loopback socket
+// The flagship test drives a SimServer over a real loopback socket
 // under a FakeClock — fully deterministic, no wall-clock dependence — and
 // then proves the journal-replay contract: loading the journal directory as
 // an instance bundle and re-running it through a fresh engine + scheduler
@@ -10,8 +10,9 @@
 //
 // The remaining tests cover the protocol-visible behaviours one at a time:
 // Thm. 3(3) admission rejection, max-in-flight shedding, cancel semantics,
-// QUERY/STATS, malformed-frame connection teardown, and a threaded
-// real-clock loadgen session (the TSan CI job runs this file).
+// QUERY/STATS, malformed-frame connection teardown, a threaded real-clock
+// loadgen session (the TSan CI job runs this file), and the journal-failure
+// policy on every plane (inline, two shard threads, fleet).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -35,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/fleet_backend.hpp"
 #include "jobs/bundle.hpp"
 #include "sched/factory.hpp"
 #include "serve/clock.hpp"
@@ -47,7 +49,6 @@
 
 namespace {
 
-using sjs::serve::AdmissionServer;
 using sjs::serve::FakeClock;
 using sjs::serve::FrameDecoder;
 using sjs::serve::JobState;
@@ -55,6 +56,7 @@ using sjs::serve::Message;
 using sjs::serve::MsgType;
 using sjs::serve::RejectReason;
 using sjs::serve::ServerConfig;
+using sjs::serve::SimServer;
 
 std::string fresh_dir(const std::string& name) {
   const auto dir = std::filesystem::path(testing::TempDir()) / name;
@@ -134,10 +136,12 @@ class TestClient {
     }
   }
 
-  /// Steps the server until a message matching `pred` arrives; fails the
-  /// test (and returns a default Message) after `spins` fruitless cycles.
-  template <typename Pred>
-  Message await(AdmissionServer& server, Pred pred, int spins = 1000) {
+  /// Steps the server (granting each step `step_ms` of poll time) until a
+  /// message matching `pred` arrives; fails the test (and returns a default
+  /// Message) after `spins` fruitless cycles. A threaded plane needs
+  /// step_ms > 0 so the acceptor waits for its shards' replies.
+  template <typename Server, typename Pred>
+  Message await(Server& server, Pred pred, int spins = 1000, int step_ms = 0) {
     for (int i = 0; i < spins; ++i) {
       for (std::size_t j = scanned_; j < inbox.size(); ++j) {
         if (pred(inbox[j])) {
@@ -146,15 +150,18 @@ class TestClient {
         }
       }
       scanned_ = inbox.size();
-      server.step(0);
+      server.step(step_ms);
       read_socket();
     }
     ADD_FAILURE() << "no matching reply after " << spins << " spins";
     return Message{};
   }
 
-  Message await_seq(AdmissionServer& server, std::uint64_t seq) {
-    return await(server, [seq](const Message& m) { return m.seq == seq; });
+  template <typename Server>
+  Message await_seq(Server& server, std::uint64_t seq, int step_ms = 0) {
+    return await(
+        server, [seq](const Message& m) { return m.seq == seq; }, 1000,
+        step_ms);
   }
 
   std::vector<Message> inbox;
@@ -206,8 +213,7 @@ struct SessionOutput {
 /// the determinism test runs it twice and diffs the journals.
 SessionOutput run_scripted_session(const std::string& journal_dir) {
   FakeClock clock;
-  AdmissionServer server(scripted_config(journal_dir),
-                         make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+  SimServer server(scripted_config(journal_dir), clock);
   const int port = server.start();
   TestClient client(port);
 
@@ -255,7 +261,7 @@ SessionOutput run_scripted_session(const std::string& journal_dir) {
     if (m.type == MsgType::kExpired) ++out.notified_expired;
   }
   out.live = server.result();
-  out.jobs = server.instance().jobs();
+  out.jobs = server.backend().instance().jobs();
   return out;
 }
 
@@ -348,8 +354,7 @@ TEST(ServeTest, ScriptedSessionIsDeterministicAcrossRuns) {
 TEST(ServeTest, InadmissibleAndInvalidSubmitsAreRejected) {
   FakeClock clock;
   ServerConfig config = scripted_config("");
-  AdmissionServer server(config, make_scheduler("V-Dover", kBandLo, kBandHi),
-                         clock);
+  SimServer server(config, clock);
   TestClient client(server.start());
 
   // d − r < p / c_lo: workload 1 needs a window of at least 2 at c_lo = 0.5.
@@ -375,8 +380,7 @@ TEST(ServeTest, AdmissionCheckCanBeDisabled) {
   FakeClock clock;
   ServerConfig config = scripted_config("");
   config.admission_check = false;
-  AdmissionServer server(config, make_scheduler("V-Dover", kBandLo, kBandHi),
-                         clock);
+  SimServer server(config, clock);
   TestClient client(server.start());
   client.send(submit_msg(1, 1.0, 1.9, 1.0));  // inadmissible, but accepted
   EXPECT_EQ(client.await_seq(server, 1).type, MsgType::kAccepted);
@@ -386,8 +390,7 @@ TEST(ServeTest, OverInFlightLimitSheds) {
   FakeClock clock;
   ServerConfig config = scripted_config("");
   config.max_in_flight = 2;
-  AdmissionServer server(config, make_scheduler("V-Dover", kBandLo, kBandHi),
-                         clock);
+  SimServer server(config, clock);
   TestClient client(server.start());
   for (std::uint64_t seq = 1; seq <= 2; ++seq) {
     client.send(submit_msg(seq, 0.5, 10.0, 1.0));
@@ -406,8 +409,7 @@ TEST(ServeTest, OverInFlightLimitSheds) {
 TEST(ServeTest, CancelSuppressesExpiryNotification) {
   FakeClock clock;
   const std::string dir = fresh_dir("serve_cancel");
-  AdmissionServer server(scripted_config(dir),
-                         make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+  SimServer server(scripted_config(dir), clock);
   TestClient client(server.start());
 
   client.send(submit_msg(1, 1.0, 4.0, 1.0));
@@ -458,8 +460,7 @@ TEST(ServeTest, CancelSuppressesExpiryNotification) {
 
 TEST(ServeTest, QueryAndStatsReportLiveState) {
   FakeClock clock;
-  AdmissionServer server(scripted_config(""),
-                         make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+  SimServer server(scripted_config(""), clock);
   TestClient client(server.start());
 
   client.send(submit_msg(1, 1.0, 10.0, 2.0));
@@ -506,8 +507,7 @@ TEST(ServeTest, QueryAndStatsReportLiveState) {
 
 TEST(ServeTest, MalformedFrameKillsConnectionNotServer) {
   FakeClock clock;
-  AdmissionServer server(scripted_config(""),
-                         make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+  SimServer server(scripted_config(""), clock);
   const int port = server.start();
 
   TestClient bad(port);
@@ -543,8 +543,7 @@ TEST(ServeTest, MalformedFrameKillsConnectionNotServer) {
 
 TEST(ServeTest, SubmitsDuringDrainAreRefused) {
   FakeClock clock;
-  AdmissionServer server(scripted_config(""),
-                         make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+  SimServer server(scripted_config(""), clock);
   TestClient client(server.start());
 
   // DRAIN and a SUBMIT in the same batch: the submit must see draining.
@@ -571,8 +570,7 @@ TEST(ServeTest, RealClockLoadgenSessionReplays) {
   sjs::serve::SystemClock server_clock;
   ServerConfig config = scripted_config(dir);
   config.accel = 20.0;  // compress the virtual session into fractions of a s
-  AdmissionServer server(config, make_scheduler("V-Dover", kBandLo, kBandHi),
-                         server_clock);
+  SimServer server(config, server_clock);
   const int port = server.start();
   std::thread server_thread([&server] { server.run(); });
 
@@ -653,16 +651,18 @@ TEST(JournalTest, AppendFailureThrowsInsteadOfSilentLoss) {
   EXPECT_NE(what.find("journal append failed"), std::string::npos) << what;
 }
 
-TEST(ServeTest, JournalFailureFailsSessionCleanly) {
-  const std::string dir = fresh_dir("serve_journal_fail");
-  FakeClock clock;
-  AdmissionServer server(scripted_config(dir),
-                         make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+/// The journal-failure contract, identical on every plane: submit until an
+/// append fails (a tiny RLIMIT_FSIZE makes the flush fail with EFBIG); the
+/// client sees ERROR(kJournalFailed), never an ACCEPTED whose row was
+/// dropped, and the failure alone drains the plane.
+template <typename Server>
+void expect_journal_failure_fails_session(Server& server, FakeClock& clock,
+                                          int step_ms) {
   TestClient client(server.start());
 
   // One healthy admission first: the failure path must not corrupt it.
   client.send(submit_msg(1, 0.5, 5.0, 1.0));
-  EXPECT_EQ(client.await_seq(server, 1).type, MsgType::kAccepted);
+  EXPECT_EQ(client.await_seq(server, 1, step_ms).type, MsgType::kAccepted);
 
   struct sigaction ignore_xfsz {};
   ignore_xfsz.sa_handler = SIG_IGN;
@@ -680,7 +680,7 @@ TEST(ServeTest, JournalFailureFailsSessionCleanly) {
   for (int i = 0; i < 64; ++i) {
     clock.advance(0.01);
     client.send(submit_msg(++seq, 0.5, 5.0, 1.0));
-    const Message r = client.await_seq(server, seq);
+    const Message r = client.await_seq(server, seq, step_ms);
     if (r.type == MsgType::kError) {
       failed = r;
       break;
@@ -696,8 +696,35 @@ TEST(ServeTest, JournalFailureFailsSessionCleanly) {
   EXPECT_FALSE(server.journal_error().empty());
   // The failure initiated a drain on its own — no DRAIN frame was sent.
   EXPECT_TRUE(server.draining());
-  while (server.step(0)) client.read_socket();
+  while (server.step(step_ms)) client.read_socket();
   EXPECT_TRUE(server.finished());
+}
+
+TEST(ServeTest, JournalFailureFailsSessionCleanly) {
+  const std::string dir = fresh_dir("serve_journal_fail_single");
+  FakeClock clock;
+  SimServer server(scripted_config(dir), clock);
+  expect_journal_failure_fails_session(server, clock, 0);
+}
+
+TEST(ServeTest, ShardedJournalFailureFailsSessionCleanly) {
+  const std::string dir = fresh_dir("serve_journal_fail_shards2");
+  FakeClock clock;
+  ServerConfig config = scripted_config(dir);
+  config.shards = 2;
+  config.shard_poll_ms = 5;
+  SimServer server(config, clock);
+  expect_journal_failure_fails_session(server, clock, 1);
+}
+
+TEST(ServeTest, ClusterJournalFailureFailsSessionCleanly) {
+  const std::string dir = fresh_dir("serve_journal_fail_cluster2");
+  FakeClock clock;
+  sjs::cluster::ClusterServerConfig config;
+  config.fleet = sjs::cluster::Fleet::heterogeneous(2);
+  config.journal_dir = dir;
+  sjs::cluster::FleetServer server(config, clock);
+  expect_journal_failure_fails_session(server, clock, 0);
 }
 
 // ---------------------------------------------------------------------------

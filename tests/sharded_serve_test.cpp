@@ -1,19 +1,23 @@
-// Integration tests for the sharded admission plane (src/serve/
-// sharded_server.hpp + shard_worker.hpp).
+// Integration tests for the sharded admission plane: serve::Server with
+// config.shards = N >= 1, each shard thread running a serve::Session behind
+// bounded channels (src/serve/server.hpp).
 //
-// The two contracts under test:
+// The contracts under test:
 //
-//  1. N = 1 equivalence: a ShardedAdmissionServer with one shard, driven
-//     through the exact scripted FakeClock session serve_test.cpp uses,
-//     leaves a journal at <root>/shard0 that is BYTE-IDENTICAL to the one
-//     the single-threaded AdmissionServer writes — same jobs.csv, same
-//     %.17g admission stamps, same outcomes.csv. The sharded plane is a
-//     strict refactor, not a behavioural fork.
+//  1. N = 1 equivalence: one threaded shard, driven through the exact
+//     scripted FakeClock session serve_test.cpp uses, leaves a journal at
+//     <root>/shard0 that is BYTE-IDENTICAL to the one the inline session
+//     (config.shards = 0) writes — same jobs.csv, same %.17g admission
+//     stamps, same outcomes.csv. The threaded plane is the same session on
+//     another thread, not a behavioural fork.
 //
-//  2. Per-shard replay: with --shards=4 every shard journal is an
+//  2. Per-shard replay: with 4 shards every shard journal is an
 //     independent instance bundle that replays bit-exactly through a fresh
 //     engine + scheduler, and (for an uncontended workload) the union of
 //     shard outcomes equals what a single shard would have produced.
+//
+//  3. Metrics: the rollup server.* counters equal the plane's stats(), and
+//     the per-shard ".shard<k>" series sum to the rollup.
 //
 // Shard workers run on real threads, so awaits step the acceptor with a
 // 1 ms poll timeout — the acceptor's poll set includes the reply-channel
@@ -33,22 +37,22 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "jobs/bundle.hpp"
+#include "obs/metrics.hpp"
 #include "sched/factory.hpp"
 #include "serve/clock.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "serve/sharded_server.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using sjs::serve::AdmissionServer;
 using sjs::serve::FakeClock;
 using sjs::serve::FrameDecoder;
 using sjs::serve::JobState;
@@ -56,7 +60,7 @@ using sjs::serve::Message;
 using sjs::serve::MsgType;
 using sjs::serve::RejectReason;
 using sjs::serve::ServerConfig;
-using sjs::serve::ShardedAdmissionServer;
+using sjs::serve::SimServer;
 
 std::string fresh_dir(const std::string& name) {
   const auto dir = std::filesystem::path(testing::TempDir()) / name;
@@ -94,12 +98,8 @@ ServerConfig base_config(const std::string& journal_dir, std::size_t shards) {
   return config;
 }
 
-ShardedAdmissionServer::SchedulerFactory scheduler_factory() {
-  return [] { return make_scheduler("V-Dover", kBandLo, kBandHi); };
-}
-
 /// Raw nonblocking loopback client, templated on the server type so the
-/// same scripted session can drive AdmissionServer and the sharded plane.
+/// same scripted session can drive the inline and the threaded plane.
 /// `step_ms` is the poll timeout each await spin grants the acceptor.
 class TestClient {
  public:
@@ -247,18 +247,16 @@ TEST(ShardedServeTest, SingleShardJournalIsByteIdenticalToAdmissionServer) {
 
   {
     FakeClock clock;
-    AdmissionServer server(base_config(dir_single, 1),
-                           make_scheduler("V-Dover", kBandLo, kBandHi), clock);
+    SimServer server(base_config(dir_single, 0), clock);
     run_scripted_session(server, clock, 0);
   }
   sjs::sim::SimResult sharded_live;
   {
     FakeClock clock;
-    ShardedAdmissionServer server(base_config(dir_sharded, 1),
-                                  scheduler_factory(), clock);
+    SimServer server(base_config(dir_sharded, 1), clock);
     run_scripted_session(server, clock, 1);
     ASSERT_EQ(server.shard_count(), 1u);
-    sharded_live = server.shard(0).result();
+    sharded_live = server.result(0);
     EXPECT_EQ(server.stats().accepted, 54u);
     EXPECT_EQ(server.stats().rejected, 6u);
   }
@@ -338,14 +336,12 @@ TEST(ShardedServeTest, FourShardJournalsReplayBitExactlyAndUnionMatches) {
 
   {
     FakeClock clock;
-    ShardedAdmissionServer server(base_config(dir_one, 1),
-                                  scheduler_factory(), clock);
+    SimServer server(base_config(dir_one, 1), clock);
     run_spaced_session(server, clock, 1, kJobs);
   }
 
   FakeClock clock;
-  ShardedAdmissionServer server(base_config(dir_four, 4), scheduler_factory(),
-                                clock);
+  SimServer server(base_config(dir_four, 4), clock);
   const auto tickets = run_spaced_session(server, clock, 1, kJobs);
   ASSERT_EQ(server.shard_count(), 4u);
 
@@ -370,7 +366,7 @@ TEST(ShardedServeTest, FourShardJournalsReplayBitExactlyAndUnionMatches) {
         make_scheduler("V-Dover", replayed.c_lo(), replayed.c_hi());
     sjs::sim::Engine engine(replayed, *scheduler);
     const sjs::sim::SimResult replay = engine.run_to_completion();
-    expect_bitwise_equal_results(server.shard(k).result(), replay);
+    expect_bitwise_equal_results(server.result(k), replay);
     union_completed += replay.completed_count;
 
     // outcomes.csv on disk equals what a fresh replay would write: the same
@@ -409,8 +405,7 @@ TEST(ShardedServeTest, FourShardJournalsReplayBitExactlyAndUnionMatches) {
 TEST(ShardedServeTest, CancelAndQueryRouteToOwningShard) {
   FakeClock clock;
   const std::string dir = fresh_dir("sharded_routing");
-  ShardedAdmissionServer server(base_config(dir, 4), scheduler_factory(),
-                                clock);
+  SimServer server(base_config(dir, 4), clock);
   server.start();
   TestClient client(server.port());
 
@@ -503,10 +498,19 @@ TEST(ShardedServeTest, CancelAndQueryRouteToOwningShard) {
   EXPECT_EQ(server.stats().cancelled, 1u);
 }
 
+TEST(ShardedServeTest, FailedStartDoesNotHangTheDestructor) {
+  // The journal root lies under a regular file, so opening shard 0's
+  // journal throws before any shard thread exists.
+  const std::string file = fresh_dir("sharded_bad_journal");
+  std::ofstream(file) << "not a directory";
+  FakeClock clock;
+  SimServer server(base_config(file + "/journal", 2), clock);
+  EXPECT_THROW(server.start(), std::runtime_error);
+}
+
 TEST(ShardedServeTest, SubmitsDuringDrainAreRefused) {
   FakeClock clock;
-  ShardedAdmissionServer server(base_config("", 2), scheduler_factory(),
-                                clock);
+  SimServer server(base_config("", 2), clock);
   server.start();
   TestClient client(server.port());
 
@@ -522,6 +526,76 @@ TEST(ShardedServeTest, SubmitsDuringDrainAreRefused) {
   while (server.step(1)) client.read_socket();
   EXPECT_TRUE(server.finished());
   EXPECT_EQ(server.stats().accepted, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Metrics: one rollup, and per-shard series that sum to it.
+
+TEST(ShardedServeTest, RollupMetricsMatchStatsAndShardSeriesSumToThem) {
+  sjs::obs::MetricsRegistry metrics;
+  FakeClock clock;
+  ServerConfig config = base_config("", 2);
+  config.max_in_flight = 4;
+  SimServer server(config, clock, &metrics);
+  server.start();
+  TestClient client(server.port());
+
+  // Unit-work jobs on unit-rate shards: half with the tightest admissible
+  // window (some expire), half with room to spare (they complete); more
+  // than a shard's in-flight limit (sheds), one inadmissible submit, and
+  // one cancel.
+  std::uint64_t seq = 0;
+  client.send(submit_msg(++seq, 1.0, 1.0, 1.0));  // inadmissible at c_lo
+  EXPECT_EQ(client.await_seq(server, seq, 1).type, MsgType::kRejected);
+  std::vector<std::uint64_t> tickets;
+  for (int i = 0; i < 12; ++i) {
+    client.send(submit_msg(++seq, 1.0, i % 2 == 0 ? 2.0 : 40.0, 1.0));
+    const Message r = client.await_seq(server, seq, 1);
+    if (r.type == MsgType::kAccepted) tickets.push_back(r.ticket);
+    clock.advance(0.01);
+  }
+  clock.advance(0.1);
+  server.step(1);
+  ASSERT_FALSE(tickets.empty());
+  Message cancel;
+  cancel.type = MsgType::kCancel;
+  cancel.seq = ++seq;
+  cancel.ticket = tickets.back();
+  client.send(cancel);
+  EXPECT_EQ(client.await_seq(server, seq, 1).type, MsgType::kCancelled);
+  clock.advance(3.0);
+  Message drain;
+  drain.type = MsgType::kDrain;
+  drain.seq = ++seq;
+  client.send(drain);
+  EXPECT_EQ(client.await_seq(server, seq, 1).type, MsgType::kDraining);
+  while (server.step(1)) client.read_socket();
+
+  const sjs::serve::StatsBody stats = server.stats();
+  EXPECT_GT(stats.accepted, 0u);
+  EXPECT_GT(stats.rejected, 0u);
+  EXPECT_GT(stats.completed, 0u);
+  EXPECT_GT(stats.expired, 0u);
+  EXPECT_GT(stats.shed, 0u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  const auto snap = metrics.snapshot();
+  const auto counter = [&](const std::string& name) {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0.0 : it->second;
+  };
+  const std::pair<const char*, std::uint64_t> rollups[] = {
+      {"accepted", stats.accepted},   {"rejected", stats.rejected},
+      {"shed", stats.shed},           {"completed", stats.completed},
+      {"expired", stats.expired},     {"cancelled", stats.cancelled}};
+  for (const auto& [name, expected] : rollups) {
+    const std::string base = std::string("server.jobs_") + name;
+    EXPECT_EQ(counter(base), static_cast<double>(expected)) << base;
+    EXPECT_EQ(counter(base + ".shard0") + counter(base + ".shard1"),
+              counter(base))
+        << base;
+  }
+  EXPECT_GT(counter("server.jobs_accepted.shard0"), 0.0);
+  EXPECT_GT(counter("server.jobs_accepted.shard1"), 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // sjs_serve — real-time job-admission daemon (docs/serving.md).
 //
 // Listens on loopback for length-prefixed protocol frames, admits jobs into
-// a live sim::Engine driven by the chosen scheduler against wall-clock time
+// a live engine driven by the chosen scheduler against wall-clock time
 // (optionally accelerated), journals every admission so the session replays
 // bit-exactly through sjs_sim, and drains gracefully on SIGINT/SIGTERM or a
 // client DRAIN request.
@@ -17,7 +17,7 @@
 // thread + N engine shards behind bounded channels, docs/serving.md): jobs
 // route by splitmix64 over their dense global ticket, each shard journals
 // its own replayable bundle to <journal>/shard<k>, and --max-in-flight
-// applies per shard. N = 1 keeps the classic single-threaded server.
+// applies per shard. N = 1 serves inline on one thread.
 //
 // --cluster=K with K >= 1 serves against an elastic heterogeneous fleet of
 // K machines (docs/cluster.md): a live cloud::MultiEngine scheduled by
@@ -34,12 +34,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "cluster/cluster_server.hpp"
+#include "cluster/fleet_backend.hpp"
+#include "cluster/rental.hpp"
 #include "obs/metrics.hpp"
-#include "sched/factory.hpp"
 #include "serve/clock.hpp"
 #include "serve/server.hpp"
-#include "serve/sharded_server.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -51,6 +50,67 @@ int g_signal_pipe[2] = {-1, -1};
 void on_signal(int) {
   const char byte = 1;
   [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
+}
+
+/// Starts `server`, prints LISTENING, serves until drained (DRAIN or
+/// SIGINT/SIGTERM), then prints the summary: `drained` (the plane's own
+/// drain lines), the server counters, `journal_hint`, and the metrics.
+/// Returns the exit code: non-zero on a failed start or journal failure.
+template <class Server, class Drained>
+int serve(Server& server, sjs::obs::MetricsRegistry& registry,
+          bool print_metrics, Drained drained, const std::string& journal_hint) {
+  if (::pipe(g_signal_pipe) != 0) {
+    std::perror("pipe");
+    return 1;
+  }
+  // Both ends nonblocking: the wake handler drains the pipe until EAGAIN,
+  // and the signal handler must never block on a full pipe.
+  for (int fd : g_signal_pipe) {
+    const int fl = ::fcntl(fd, F_GETFL, 0);
+    if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
+  }
+  struct sigaction sa {};
+  sa.sa_handler = on_signal;
+  ::sigaction(SIGINT, &sa, nullptr);
+  ::sigaction(SIGTERM, &sa, nullptr);
+
+  int port = 0;
+  try {
+    port = server.start();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "failed to start: %s\n", e.what());
+    return 1;
+  }
+  server.watch_shutdown_fd(g_signal_pipe[0]);
+  std::printf("LISTENING %d\n", port);
+  std::fflush(stdout);
+
+  server.run();
+
+  drained(server);
+  const bool journal_failed = !server.journal_error().empty();
+  if (journal_failed) {
+    std::fprintf(stderr, "journal failure: %s\n",
+                 server.journal_error().c_str());
+  }
+  const sjs::serve::StatsBody stats = server.stats();
+  std::printf("server: %llu submitted, %llu accepted, %llu rejected, "
+              "%llu shed, %llu completed, %llu expired, %llu cancelled\n",
+              static_cast<unsigned long long>(stats.submitted),
+              static_cast<unsigned long long>(stats.accepted),
+              static_cast<unsigned long long>(stats.rejected),
+              static_cast<unsigned long long>(stats.shed),
+              static_cast<unsigned long long>(stats.completed),
+              static_cast<unsigned long long>(stats.expired),
+              static_cast<unsigned long long>(stats.cancelled));
+  if (!server.journal_dir().empty()) {
+    std::printf("journal: %s (%s)\n", server.journal_dir().c_str(),
+                journal_hint.c_str());
+  }
+  if (print_metrics) {
+    std::printf("\nmetrics:\n%s", registry.render().c_str());
+  }
+  return journal_failed ? 1 : 0;
 }
 
 }  // namespace
@@ -110,36 +170,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.error().c_str());
     return 1;
   }
-
   const long cluster_k = flags.get_int("cluster");
   if (cluster_k < 0) {
     std::fprintf(stderr, "--cluster must be >= 0\n");
     return 1;
   }
-  if (cluster_k > 0) {
-    if (flags.get_int("shards") >= 2) {
-      std::fprintf(stderr, "--cluster and --shards >= 2 are exclusive\n");
-      return 1;
-    }
-    const std::string key_name = flags.get_string("cluster-key");
-    if (key_name != "deadline" && key_name != "density") {
-      std::fprintf(stderr, "unknown --cluster-key \"%s\" (deadline|density)\n",
-                   key_name.c_str());
-      return 1;
-    }
-    sjs::cluster::ClusterServerConfig config;
-    config.fleet =
-        sjs::cluster::Fleet::heterogeneous(static_cast<std::size_t>(cluster_k));
-    config.key = key_name == "deadline" ? sjs::cloud::GlobalKey::kDeadline
-                                        : sjs::cloud::GlobalKey::kValueDensity;
-    config.rental = flags.get_string("rental");
-    config.budget = flags.get_double("budget");
-    const long min_rented = flags.get_int("min-rented");
-    if (min_rented < 1 || min_rented > cluster_k) {
-      std::fprintf(stderr, "--min-rented must be in [1, --cluster]\n");
-      return 1;
-    }
-    config.min_rented = static_cast<std::size_t>(min_rented);
+  const long shards = flags.get_int("shards");
+  if (cluster_k > 0 && shards >= 2) {
+    std::fprintf(stderr, "--cluster and --shards >= 2 are exclusive\n");
+    return 1;
+  }
+
+  // The settings every plane shares.
+  const auto common = [&](sjs::serve::ServerConfig& config) {
     config.port = static_cast<int>(flags.get_int("port"));
     config.journal_dir = flags.get_string("journal");
     config.accel = flags.get_double("accel");
@@ -147,6 +190,35 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get_int("max-in-flight"));
     config.admission_check = !flags.get_bool("no-admission-check");
     config.trace_ring = static_cast<std::size_t>(flags.get_int("trace-ring"));
+    config.shards = shards >= 2 ? static_cast<std::size_t>(shards) : 0;
+    config.channel_capacity =
+        static_cast<std::size_t>(flags.get_int("channel-capacity"));
+  };
+  sjs::obs::MetricsRegistry registry;
+  sjs::serve::SystemClock clock;
+  const bool print_metrics = flags.get_bool("metrics");
+
+  if (cluster_k > 0) {
+    const std::string key_name = flags.get_string("cluster-key");
+    if (key_name != "deadline" && key_name != "density") {
+      std::fprintf(stderr, "unknown --cluster-key \"%s\" (deadline|density)\n",
+                   key_name.c_str());
+      return 1;
+    }
+    const long min_rented = flags.get_int("min-rented");
+    if (min_rented < 1 || min_rented > cluster_k) {
+      std::fprintf(stderr, "--min-rented must be in [1, --cluster]\n");
+      return 1;
+    }
+    sjs::cluster::ClusterServerConfig config;
+    common(config);
+    config.fleet =
+        sjs::cluster::Fleet::heterogeneous(static_cast<std::size_t>(cluster_k));
+    config.key = key_name == "deadline" ? sjs::cloud::GlobalKey::kDeadline
+                                        : sjs::cloud::GlobalKey::kValueDensity;
+    config.rental = flags.get_string("rental");
+    config.budget = flags.get_double("budget");
+    config.min_rented = static_cast<std::size_t>(min_rented);
     try {
       // Validate the rental policy name before binding the port.
       sjs::cluster::make_rental_controller(config.rental);
@@ -154,198 +226,44 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
-
-    sjs::obs::MetricsRegistry registry;
-    sjs::serve::SystemClock clock;
-    if (::pipe(g_signal_pipe) != 0) {
-      std::perror("pipe");
-      return 1;
-    }
-    for (int fd : g_signal_pipe) {
-      const int fl = ::fcntl(fd, F_GETFL, 0);
-      if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-    }
-    struct sigaction sa {};
-    sa.sa_handler = on_signal;
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
-
-    sjs::cluster::ClusterServer server(config, clock, &registry);
-    int port = 0;
-    try {
-      port = server.start();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to start: %s\n", e.what());
-      return 1;
-    }
-    server.watch_shutdown_fd(g_signal_pipe[0]);
-    std::printf("LISTENING %d\n", port);
-    std::fflush(stdout);
-
-    server.run();
-
-    const auto& result = server.result();
-    std::printf("drained: cluster of %zu (%s): %llu completed, %llu expired, "
-                "value %.3f/%.3f, rental cost %.3f, peak %llu machines, "
-                "%llu migrations\n",
-                server.fleet().size(), result.scheduler_name.c_str(),
-                static_cast<unsigned long long>(result.completed_count),
-                static_cast<unsigned long long>(result.expired_count),
-                result.completed_value, result.generated_value,
-                result.rental_cost,
-                static_cast<unsigned long long>(result.rented_peak),
-                static_cast<unsigned long long>(result.migrations));
-    bool cluster_journal_failed = false;
-    if (!server.journal_error().empty()) {
-      std::fprintf(stderr, "journal failure: %s\n",
-                   server.journal_error().c_str());
-      cluster_journal_failed = true;
-    }
-    const auto stats = server.stats();
-    std::printf("server: %llu submitted, %llu accepted, %llu rejected, "
-                "%llu shed, %llu completed, %llu expired, %llu cancelled\n",
-                static_cast<unsigned long long>(stats.submitted),
-                static_cast<unsigned long long>(stats.accepted),
-                static_cast<unsigned long long>(stats.rejected),
-                static_cast<unsigned long long>(stats.shed),
-                static_cast<unsigned long long>(stats.completed),
-                static_cast<unsigned long long>(stats.expired),
-                static_cast<unsigned long long>(stats.cancelled));
-    if (!config.journal_dir.empty()) {
-      std::printf("journal: %s (replay with sjs_sim --cluster-bundle=%s "
-                  "--outcomes-csv=...)\n",
-                  config.journal_dir.c_str(), config.journal_dir.c_str());
-    }
-    if (flags.get_bool("metrics")) {
-      std::printf("\nmetrics:\n%s", registry.render().c_str());
-    }
-    return cluster_journal_failed ? 1 : 0;
-  }
-
-  const auto lineup = sjs::sched::full_lineup(c_lo, c_hi);
-  const auto* factory =
-      sjs::sched::find_factory(lineup, flags.get_string("scheduler"));
-  if (!factory) {
-    std::fprintf(stderr, "unknown scheduler \"%s\" — see sjs_sim "
-                 "--list-schedulers\n",
-                 flags.get_string("scheduler").c_str());
-    return 1;
+    sjs::cluster::FleetServer server(config, clock, &registry);
+    const auto drained = [](sjs::cluster::FleetServer& s) {
+      const auto& result = s.result();
+      std::printf("drained: cluster of %zu (%s): %llu completed, %llu "
+                  "expired, value %.3f/%.3f, rental cost %.3f, peak %llu "
+                  "machines, %llu migrations\n",
+                  s.backend().fleet().size(), result.scheduler_name.c_str(),
+                  static_cast<unsigned long long>(result.completed_count),
+                  static_cast<unsigned long long>(result.expired_count),
+                  result.completed_value, result.generated_value,
+                  result.rental_cost,
+                  static_cast<unsigned long long>(result.rented_peak),
+                  static_cast<unsigned long long>(result.migrations));
+    };
+    return serve(server, registry, print_metrics, drained,
+                 "replay with sjs_sim --cluster-bundle=" + config.journal_dir +
+                     " --outcomes-csv=...");
   }
 
   sjs::serve::ServerConfig config;
-  config.scheduler_name = factory->name;
+  common(config);
+  config.scheduler_name = flags.get_string("scheduler");
   config.capacity = sjs::cap::CapacityProfile(c_hi);
   config.c_lo = c_lo;
   config.c_hi = c_hi;
-  config.port = static_cast<int>(flags.get_int("port"));
-  config.journal_dir = flags.get_string("journal");
-  config.accel = flags.get_double("accel");
-  config.max_in_flight =
-      static_cast<std::uint64_t>(flags.get_int("max-in-flight"));
-  config.admission_check = !flags.get_bool("no-admission-check");
-  config.trace_ring =
-      static_cast<std::size_t>(flags.get_int("trace-ring"));
-  config.shards = static_cast<std::size_t>(flags.get_int("shards"));
-  config.channel_capacity =
-      static_cast<std::size_t>(flags.get_int("channel-capacity"));
-
-  sjs::obs::MetricsRegistry registry;
-  sjs::serve::SystemClock clock;
-
-  if (::pipe(g_signal_pipe) != 0) {
-    std::perror("pipe");
-    return 1;
-  }
-  // Both ends nonblocking: the wake handler drains the pipe until EAGAIN,
-  // and the signal handler must never block on a full pipe.
-  for (int fd : g_signal_pipe) {
-    const int fl = ::fcntl(fd, F_GETFL, 0);
-    if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-  }
-  struct sigaction sa {};
-  sa.sa_handler = on_signal;
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-
-  const auto print_stats = [](const sjs::serve::StatsBody& stats) {
-    std::printf("server: %llu submitted, %llu accepted, %llu rejected, "
-                "%llu shed, %llu completed, %llu expired, %llu cancelled\n",
-                static_cast<unsigned long long>(stats.submitted),
-                static_cast<unsigned long long>(stats.accepted),
-                static_cast<unsigned long long>(stats.rejected),
-                static_cast<unsigned long long>(stats.shed),
-                static_cast<unsigned long long>(stats.completed),
-                static_cast<unsigned long long>(stats.expired),
-                static_cast<unsigned long long>(stats.cancelled));
+  sjs::serve::SimServer server(config, clock, &registry);
+  const bool sharded = config.shards > 0;
+  const auto drained = [sharded](sjs::serve::SimServer& s) {
+    for (std::size_t k = 0; k < s.shard_count(); ++k) {
+      if (sharded) std::printf("shard %zu ", k);
+      std::printf("drained: %s\n", s.result(k).to_string().c_str());
+    }
   };
-
-  bool journal_failed = false;
-  if (config.shards >= 2) {
-    sjs::serve::ShardedAdmissionServer server(
-        config, [&] { return factory->make(); }, clock, &registry);
-    int port = 0;
-    try {
-      port = server.start();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to start: %s\n", e.what());
-      return 1;
-    }
-    server.watch_shutdown_fd(g_signal_pipe[0]);
-    std::printf("LISTENING %d\n", port);
-    std::fflush(stdout);
-
-    server.run();
-
-    for (std::size_t k = 0; k < server.shard_count(); ++k) {
-      std::printf("shard %zu drained: %s\n", k,
-                  server.shard(k).result().to_string().c_str());
-      if (!server.shard(k).journal_error().empty()) {
-        std::fprintf(stderr, "shard %zu journal failure: %s\n", k,
-                     server.shard(k).journal_error().c_str());
-        journal_failed = true;
-      }
-    }
-    print_stats(server.stats());
-    if (!config.journal_dir.empty()) {
-      std::printf("journal: %s (per-shard bundles; replay shard k with "
-                  "sjs_sim --bundle=%s/shard<k> --scheduler=\"%s\" "
-                  "--outcomes-csv=...)\n",
-                  config.journal_dir.c_str(), config.journal_dir.c_str(),
-                  config.scheduler_name.c_str());
-    }
-  } else {
-    sjs::serve::AdmissionServer server(config, factory->make(), clock,
-                                       &registry);
-    int port = 0;
-    try {
-      port = server.start();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to start: %s\n", e.what());
-      return 1;
-    }
-    server.watch_shutdown_fd(g_signal_pipe[0]);
-    std::printf("LISTENING %d\n", port);
-    std::fflush(stdout);
-
-    server.run();
-
-    const auto& result = server.result();
-    std::printf("drained: %s\n", result.to_string().c_str());
-    if (!server.journal_error().empty()) {
-      std::fprintf(stderr, "journal failure: %s\n",
-                   server.journal_error().c_str());
-      journal_failed = true;
-    }
-    print_stats(server.stats());
-    if (!config.journal_dir.empty()) {
-      std::printf("journal: %s (replay with sjs_sim --bundle=%s "
-                  "--scheduler=\"%s\" --outcomes-csv=...)\n",
-                  config.journal_dir.c_str(), config.journal_dir.c_str(),
-                  config.scheduler_name.c_str());
-    }
-  }
-  if (flags.get_bool("metrics")) {
-    std::printf("\nmetrics:\n%s", registry.render().c_str());
-  }
-  return journal_failed ? 1 : 0;
+  const std::string bundle =
+      sharded ? config.journal_dir + "/shard<k>" : config.journal_dir;
+  return serve(server, registry, print_metrics, drained,
+               std::string(sharded ? "per-shard bundles; replay shard k"
+                                   : "replay") +
+                   " with sjs_sim --bundle=" + bundle + " --scheduler=\"" +
+                   config.scheduler_name + "\" --outcomes-csv=...");
 }
