@@ -87,7 +87,8 @@ int main(int argc, char** argv) {
       sjs::CsvWriter writer(path);
       writer.write_row({"time", "vdover_value", "dover_value"});
       for (std::size_t i = 0; i < n_points; ++i) {
-        writer.write_row_numeric({vd.x[i], vd_series[i], dv_series[i]});
+        const double row[] = {vd.x[i], vd_series[i], dv_series[i]};
+        writer.write_row_numeric(row, 3);
       }
       // A ready-to-run gnuplot script per panel (paper Fig. 1 styling).
       char gp_path[128], png_path[128], panel[64];

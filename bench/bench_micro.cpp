@@ -5,10 +5,14 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,15 +23,18 @@
 #include "cluster/rental.hpp"
 #include "conc/channel.hpp"
 #include "lint/analyzer.hpp"
+#include "jobs/instance.hpp"
 #include "jobs/workload_gen.hpp"
 #include "offline/exact.hpp"
 #include "offline/feasibility.hpp"
 #include "sched/factory.hpp"
 #include "sched/ready_queue.hpp"
 #include "sched/vdover.hpp"
+#include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
 #include "sim/engine.hpp"
+#include "sim/result.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/rng.hpp"
 
@@ -590,6 +597,83 @@ void BM_ProtocolCodec(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(decoded));
 }
 BENCHMARK(BM_ProtocolCodec)->Arg(64)->Arg(1024);
+
+// Jobs shaped like a serving journal's rows: release-ordered stamps with
+// full-precision fractions, Exp(1) workloads, paper-style slack and values.
+std::vector<sjs::Job> journal_like_jobs(std::size_t n) {
+  sjs::Rng rng(11);
+  std::vector<sjs::Job> jobs(n);
+  double t = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    t += rng.exponential_mean(0.05);
+    sjs::Job& j = jobs[i];
+    j.id = static_cast<sjs::JobId>(i);
+    j.release = t;
+    j.workload = rng.exponential_mean(1.0);
+    j.deadline = t + rng.uniform(1.05, 4.0) * j.workload;
+    j.value = rng.uniform(1.0, 7.0) * j.workload;
+  }
+  return jobs;
+}
+
+std::string bench_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+void BM_JournalAppend(benchmark::State& state) {
+  // serve::JournalWriter::record_admit per admitted job, as on the serving
+  // hot path: format one jobs.csv row and flush it to the file. The journal
+  // is reopened (untimed) every 64k rows to bound the file's size.
+  const std::vector<sjs::Job> jobs = journal_like_jobs(1 << 16);
+  const std::string dir = bench_path("sjs_bench_journal");
+  auto journal = std::make_unique<sjs::serve::JournalWriter>(
+      dir, sjs::serve::JournalWriter::MetaRows{});
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (i == jobs.size()) {
+      state.PauseTiming();
+      journal = std::make_unique<sjs::serve::JournalWriter>(
+          dir, sjs::serve::JournalWriter::MetaRows{});
+      i = 0;
+      state.ResumeTiming();
+    }
+    journal->record_admit(jobs[i++]);
+  }
+  journal.reset();
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JournalAppend);
+
+void BM_ReplayIO(benchmark::State& state) {
+  // The I/O half of `sjs_sim --bundle --outcomes-csv`: load a jobs.csv of
+  // arg(0) rows, then write outcomes.csv for them (three quarters completed,
+  // the rest expired). Items are rows (each is read once and written once).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::string jobs_csv = bench_path("sjs_bench_replay_jobs.csv");
+  const std::string outcomes_csv = bench_path("sjs_bench_replay_outcomes.csv");
+  const std::vector<sjs::Job> jobs = journal_like_jobs(n);
+  sjs::Instance(jobs, sjs::cap::CapacityProfile(1.0)).save_jobs(jobs_csv);
+  std::vector<sjs::sim::JobOutcome> outcomes(n);
+  std::vector<double> completion_times(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool done = i % 4 != 3;
+    outcomes[i] = done ? sjs::sim::JobOutcome::kCompleted
+                       : sjs::sim::JobOutcome::kExpired;
+    completion_times[i] =
+        done ? jobs[i].release + jobs[i].workload : std::nan("");
+  }
+  for (auto _ : state) {
+    const std::vector<sjs::Job> loaded = sjs::Instance::load_jobs(jobs_csv);
+    sjs::sim::save_outcomes_csv(outcomes, completion_times, loaded,
+                                outcomes_csv);
+    benchmark::DoNotOptimize(loaded.data());
+  }
+  std::filesystem::remove(jobs_csv);
+  std::filesystem::remove(outcomes_csv);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ReplayIO)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_ChannelThroughput(benchmark::State& state) {
   // Single-producer/single-consumer drain of the bounded MPSC channel the

@@ -9,7 +9,8 @@
 #      server.jobs_accepted metric equals the summary's accepted count,
 #   3. the journal directory is a parseable instance bundle, and
 #   4. replaying it through sjs_sim reproduces the live outcomes
-#      byte-identically (diff of outcomes.csv).
+#      byte-identically (diff of outcomes.csv), and (single plane) a copy
+#      with one corrupted jobs.csv field is refused with the row named.
 #
 # The gate runs three times: against the single-threaded server, against the
 # sharded plane (--shards=4, sjs_load --connections=4, where step 3/4 apply
@@ -135,6 +136,22 @@ smoke_phase() {
 smoke_phase single "$WORK/journal" --
 replay_bundle "$WORK/journal" single
 SINGLE_COMPLETED="$COMPLETED"
+
+# Negative replay: a copy of the journal with one jobs.csv field corrupted to
+# "1.5abc" must fail to load, naming the row, instead of loading the numeric
+# prefix 1.5. The untouched journal must still replay bit-exactly.
+cp -r "$WORK/journal" "$WORK/journal_bad"
+awk -F, -v OFS=, 'NR == 4 { $2 = "1.5abc" } { print }' \
+  "$WORK/journal/jobs.csv" > "$WORK/journal_bad/jobs.csv"
+if "$SIM" --bundle="$WORK/journal_bad" --scheduler=V-Dover \
+    > "$WORK/replay_bad.log" 2> "$WORK/replay_bad.err"; then
+  echo "FAIL(single): a corrupted jobs.csv field replayed" >&2; exit 1
+fi
+grep -q "job row 3 " "$WORK/replay_bad.err" || {
+  echo "FAIL(single): corrupted-field error does not name job row 3:" >&2
+  cat "$WORK/replay_bad.err" >&2; exit 1; }
+echo "corrupted field rejected: $(cat "$WORK/replay_bad.err")"
+replay_bundle "$WORK/journal" single
 
 # --- Phase 2: sharded plane, 4 shards x 4 loadgen connections --------------
 smoke_phase sharded "$WORK/journal4" --shards=4 -- --connections=4

@@ -13,28 +13,22 @@ void save_trace(const CapacityProfile& profile, const std::string& path) {
   const auto& times = profile.breakpoints();
   const auto& rates = profile.rates();
   for (std::size_t i = 0; i < times.size(); ++i) {
-    writer.write_row_numeric({times[i], rates[i]});
+    const double row[] = {times[i], rates[i]};
+    writer.write_row_numeric(row, 2);
   }
 }
 
 CapacityProfile load_trace(const std::string& path) {
-  auto rows = read_csv(path);
+  NumericCsvReader in(path, "trace");
   std::vector<double> times;
   std::vector<double> rates;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    if (row.size() != 2) {
-      throw std::runtime_error("trace row " + std::to_string(i) +
-                               " must have 2 fields");
-    }
-    if (i == 0 && row[0] == "time") continue;  // optional header
-    try {
-      times.push_back(std::stod(row[0]));
-      rates.push_back(std::stod(row[1]));
-    } catch (const std::exception&) {
-      throw std::runtime_error("trace row " + std::to_string(i) +
-                               " is not numeric");
-    }
+  times.reserve(in.row_count());
+  rates.reserve(in.row_count());
+  while (in.next()) {
+    in.expect_fields(2);
+    if (in.row() == 0 && in.field(0) == "time") continue;  // optional header
+    times.push_back(in.number(0));
+    rates.push_back(in.number(1));
   }
   if (times.empty()) throw std::runtime_error("empty capacity trace: " + path);
   try {

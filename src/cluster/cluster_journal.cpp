@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "capacity/trace_io.hpp"
+#include "jobs/bundle.hpp"
 #include "jobs/instance.hpp"
 #include "util/logging.hpp"
 
@@ -37,7 +38,7 @@ ClusterJournal::ClusterJournal(const std::string& dir, const Fleet& fleet,
   for (std::size_t k = 0; k < paths.size(); ++k) {
     cap::save_trace(paths[k], path(server_trace_name(k)));
   }
-  serve::save_band_csv(dir, fleet.admission_c_lo(), fleet.max_hi());
+  save_band_csv(dir, fleet.admission_c_lo(), fleet.max_hi());
 }
 
 ClusterBundle load_cluster_bundle(const std::string& dir) {

@@ -8,7 +8,7 @@
 //   meta.csv       key,value — scheduler key, rental policy, budget, accel...
 //   jobs.csv       appended+flushed per admitted job (the Instance layout)
 //   cancels.csv    time,ticket (a session with cancels is not replayable)
-//   outcomes.csv   written at drain (cloud::save_multi_outcomes_csv)
+//   outcomes.csv   written at drain (sim::save_outcomes_csv)
 //
 // Replay:  sjs_sim --cluster-bundle=<dir>  rebuilds the fleet, dispatcher,
 // and job stream and must reproduce outcomes.csv byte-for-byte

@@ -115,32 +115,28 @@ void save_fleet_csv(const Fleet& fleet, const std::string& path) {
   w.write_row({"server", "c_lo", "c_hi", "speed", "cost_rate"});
   for (std::size_t k = 0; k < fleet.size(); ++k) {
     const ServerSpec& s = fleet.spec(k);
-    w.write_row({std::to_string(k), format_double(s.c_lo),
-                 format_double(s.c_hi), format_double(s.speed),
-                 format_double(s.cost_rate)});
+    const double row[] = {static_cast<double>(k), s.c_lo, s.c_hi, s.speed,
+                          s.cost_rate};
+    w.write_row_numeric(row, 5);
   }
 }
 
 Fleet load_fleet_csv(const std::string& path) {
-  const auto rows = read_csv(path);
-  if (rows.size() < 2) {
-    throw std::runtime_error("fleet.csv has no machines: " + path);
-  }
+  NumericCsvReader in(path, "fleet.csv");
   Fleet fleet;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].size() != 5) {
-      throw std::runtime_error("malformed fleet.csv row in " + path);
-    }
+  while (in.next()) {
+    if (in.row() == 0) continue;  // header
+    in.expect_fields(5);
+    in.integer(0);  // the server index: checked, implied by the row order
     ServerSpec s;
-    try {
-      s.c_lo = std::stod(rows[i][1]);
-      s.c_hi = std::stod(rows[i][2]);
-      s.speed = std::stod(rows[i][3]);
-      s.cost_rate = std::stod(rows[i][4]);
-    } catch (const std::exception&) {
-      throw std::runtime_error("non-numeric fleet.csv row in " + path);
-    }
+    s.c_lo = in.number(1);
+    s.c_hi = in.number(2);
+    s.speed = in.number(3);
+    s.cost_rate = in.number(4);
     fleet.add(s);
+  }
+  if (fleet.size() == 0) {
+    throw std::runtime_error("fleet.csv has no machines: " + path);
   }
   return fleet;
 }

@@ -21,9 +21,14 @@ void save_instance_bundle(const Instance& instance, const std::string& dir) {
   instance.save_jobs((fs::path(dir) / "jobs.csv").string());
   cap::save_trace(instance.capacity(),
                   (fs::path(dir) / "capacity.csv").string());
+  save_band_csv(dir, instance.c_lo(), instance.c_hi());
+}
+
+void save_band_csv(const std::string& dir, double c_lo, double c_hi) {
   CsvWriter band((fs::path(dir) / "band.csv").string());
   band.write_row({"c_lo", "c_hi"});
-  band.write_row_numeric({instance.c_lo(), instance.c_hi()});
+  const double row[] = {c_lo, c_hi};
+  band.write_row_numeric(row, 2);
 }
 
 Instance load_instance_bundle(const std::string& dir) {
@@ -34,18 +39,15 @@ Instance load_instance_bundle(const std::string& dir) {
   auto jobs = Instance::load_jobs(jobs_path);
   auto capacity = cap::load_trace(capacity_path);
 
-  auto band_rows = read_csv(band_path);
   // Header row plus one data row.
-  if (band_rows.size() != 2 || band_rows[1].size() != 2) {
+  NumericCsvReader band(band_path, "band");
+  if (!band.next() || !band.next()) {
     throw std::runtime_error("malformed band.csv in " + dir);
   }
-  double c_lo = 0.0, c_hi = 0.0;
-  try {
-    c_lo = std::stod(band_rows[1][0]);
-    c_hi = std::stod(band_rows[1][1]);
-  } catch (const std::exception&) {
-    throw std::runtime_error("non-numeric band in " + dir);
-  }
+  band.expect_fields(2);
+  const double c_lo = band.number(0);
+  const double c_hi = band.number(1);
+  if (band.next()) band.fail("is one row too many");
   try {
     return Instance(std::move(jobs), std::move(capacity), c_lo, c_hi);
   } catch (const CheckError& e) {

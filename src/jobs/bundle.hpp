@@ -23,4 +23,8 @@ void save_instance_bundle(const Instance& instance, const std::string& dir);
 /// capacity path).
 Instance load_instance_bundle(const std::string& dir);
 
+/// Writes band.csv (c_lo,c_hi) into `dir`, which must exist. Shared with the
+/// serving journals, which are bundles too.
+void save_band_csv(const std::string& dir, double c_lo, double c_hi);
+
 }  // namespace sjs

@@ -1,7 +1,6 @@
 #include "jobs/instance.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "util/csv.hpp"
 #include "util/logging.hpp"
@@ -16,10 +15,14 @@ Instance::Instance(std::vector<Job> jobs, cap::CapacityProfile capacity,
       c_hi_(c_hi) {
   // Canonical form: jobs sorted by (release, original order), ids reassigned
   // to positions so the engine can index arrays by JobId.
-  std::stable_sort(jobs_.begin(), jobs_.end(),
-                   [](const Job& a, const Job& b) {
-                     return a.release < b.release;
-                   });
+  // Bundles and journals arrive sorted; checking first skips the sort's
+  // buffer and merge passes (stable_sort of a sorted range is the identity).
+  const auto by_release = [](const Job& a, const Job& b) {
+    return a.release < b.release;
+  };
+  if (!std::is_sorted(jobs_.begin(), jobs_.end(), by_release)) {
+    std::stable_sort(jobs_.begin(), jobs_.end(), by_release);
+  }
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     jobs_[i].id = static_cast<JobId>(i);
   }
@@ -121,36 +124,26 @@ void Instance::save_jobs(const std::string& path) const {
   CsvWriter writer(path);
   writer.write_row({"id", "release", "workload", "deadline", "value"});
   for (const Job& j : jobs_) {
-    writer.write_row_numeric({static_cast<double>(j.id), j.release,
-                              j.workload, j.deadline, j.value});
+    const double row[] = {static_cast<double>(j.id), j.release, j.workload,
+                          j.deadline, j.value};
+    writer.write_row_numeric(row, 5);
   }
 }
 
 std::vector<Job> Instance::load_jobs(const std::string& path) {
-  auto rows = read_csv(path);
+  NumericCsvReader in(path, "job");
   std::vector<Job> jobs;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    if (i == 0 && !row.empty() && row[0] == "id") continue;
-    if (row.size() != 5) {
-      throw std::runtime_error("job row " + std::to_string(i) +
-                               " must have 5 fields");
-    }
+  jobs.reserve(in.row_count());
+  while (in.next()) {
+    if (in.row() == 0 && in.field(0) == "id") continue;
+    in.expect_fields(5);
     Job j;
-    try {
-      j.id = static_cast<JobId>(std::stol(row[0]));
-      j.release = std::stod(row[1]);
-      j.workload = std::stod(row[2]);
-      j.deadline = std::stod(row[3]);
-      j.value = std::stod(row[4]);
-    } catch (const std::exception&) {
-      throw std::runtime_error("job row " + std::to_string(i) +
-                               " is not numeric");
-    }
-    if (!j.valid()) {
-      throw std::runtime_error("job row " + std::to_string(i) +
-                               " fails validity checks");
-    }
+    j.id = static_cast<JobId>(in.integer(0));
+    j.release = in.number(1);
+    j.workload = in.number(2);
+    j.deadline = in.number(3);
+    j.value = in.number(4);
+    if (!j.valid()) in.fail("fails validity checks");
     jobs.push_back(j);
   }
   return jobs;

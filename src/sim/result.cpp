@@ -1,7 +1,10 @@
 #include "sim/result.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 
 #include "util/csv.hpp"
 
@@ -67,26 +70,34 @@ std::string SimResult::to_string() const {
   return os.str();
 }
 
-void save_outcomes_csv(const SimResult& result, const std::vector<Job>& jobs,
-                       const std::string& path) {
+void save_outcomes_csv(const std::vector<JobOutcome>& outcomes,
+                       const std::vector<double>& completion_times,
+                       const std::vector<Job>& jobs, const std::string& path) {
   CsvWriter w(path);
   w.write_row({"id", "outcome", "completion", "value_collected"});
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    const char* outcome = "pending";
+  // id (20) + "completed" (9) + two numbers + separators fit with room.
+  char row[40 + 2 * kDoubleChars];
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    std::string_view outcome = "pending";
     double collected = 0.0;
-    std::string completion;
-    if (result.outcomes[i] == JobOutcome::kCompleted) {
+    bool has_completion = false;
+    if (outcomes[i] == JobOutcome::kCompleted) {
       outcome = "completed";
       collected = i < jobs.size() ? jobs[i].value : 0.0;
-      if (i < result.completion_times.size() &&
-          !std::isnan(result.completion_times[i])) {
-        completion = format_double(result.completion_times[i]);
-      }
-    } else if (result.outcomes[i] == JobOutcome::kExpired) {
+      has_completion =
+          i < completion_times.size() && !std::isnan(completion_times[i]);
+    } else if (outcomes[i] == JobOutcome::kExpired) {
       outcome = "expired";
     }
-    w.write_row({std::to_string(i), outcome, completion,
-                 format_double(collected)});
+    char* p = std::to_chars(row, row + 20, i).ptr;
+    *p++ = ',';
+    p = std::copy(outcome.begin(), outcome.end(), p);
+    *p++ = ',';
+    if (has_completion) p = format_double(p, completion_times[i]);
+    *p++ = ',';
+    p = format_double(p, collected);
+    *p++ = '\n';
+    w.write_raw(row, static_cast<std::size_t>(p - row));
   }
 }
 

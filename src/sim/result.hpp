@@ -92,11 +92,13 @@ struct SimResult {
 
 /// Writes per-job outcomes as CSV ("id,outcome,completion,value_collected",
 /// %.17g doubles, outcome ∈ {pending,completed,expired}, completion empty for
-/// jobs that never finished). One canonical format shared by sjs_sim
-/// --outcomes-csv and the serving daemon's journal, so live-vs-replay
-/// fidelity can be checked with a byte diff (scripts/serve_smoke.sh).
-void save_outcomes_csv(const SimResult& result,
-                       const std::vector<Job>& jobs,
-                       const std::string& path);
+/// jobs that never finished) from the per-job outcome and completion-time
+/// arrays of either engine (SimResult or cloud::MultiSimResult). The one
+/// outcomes writer behind sjs_sim --outcomes-csv and every serving plane's
+/// journal, so live-vs-replay fidelity is a byte diff
+/// (scripts/serve_smoke.sh).
+void save_outcomes_csv(const std::vector<JobOutcome>& outcomes,
+                       const std::vector<double>& completion_times,
+                       const std::vector<Job>& jobs, const std::string& path);
 
 }  // namespace sjs::sim

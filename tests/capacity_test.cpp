@@ -11,6 +11,7 @@
 #include "capacity/trace_io.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "temp_paths.hpp"
 
 namespace sjs::cap {
 namespace {
@@ -345,11 +346,11 @@ TEST(SquareWave, ExactPattern) {
 
 // ---------------------------------------------------------------- trace I/O
 
+using testing_paths::case_temp_path;
+
 class TraceIo : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "sjs_trace_test.csv")
-                          .string();
+  std::string path_ = case_temp_path("sjs_trace_test", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 };
 
@@ -375,6 +376,42 @@ TEST_F(TraceIo, RejectsNonNumeric) {
     out << "0.0,abc\n";
   }
   EXPECT_THROW(load_trace(path_), std::runtime_error);
+}
+
+std::string load_trace_error(const std::string& path) {
+  try {
+    load_trace(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(TraceIo, RejectsTrailingGarbage) {
+  {
+    std::ofstream out(path_);
+    out << "time,rate\n0.0,1.0\n1.0,2.5x\n";
+  }
+  EXPECT_NE(load_trace_error(path_).find("trace row 2 is not numeric"),
+            std::string::npos);
+}
+
+TEST_F(TraceIo, RejectsEmptyField) {
+  {
+    std::ofstream out(path_);
+    out << "time,rate\n,1.0\n";
+  }
+  EXPECT_NE(load_trace_error(path_).find("trace row 1 is not numeric"),
+            std::string::npos);
+}
+
+TEST_F(TraceIo, WrongFieldCountNamesTheRow) {
+  {
+    std::ofstream out(path_);
+    out << "time,rate\n0.0,1.0\n1.0\n";
+  }
+  EXPECT_NE(load_trace_error(path_).find("trace row 2 must have 2 fields"),
+            std::string::npos);
 }
 
 TEST_F(TraceIo, RejectsNegativeRate) {

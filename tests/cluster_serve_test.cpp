@@ -318,8 +318,8 @@ TEST(ClusterServeTest, FakeClockSessionReplaysBitExactly) {
   const std::string live_csv = slurp(dir + "/outcomes.csv");
   const std::string replay_dir = fresh_dir("cluster_replay_outcomes");
   std::filesystem::create_directories(replay_dir);
-  sjs::cloud::save_multi_outcomes_csv(replay, bundle.jobs,
-                                      replay_dir + "/outcomes.csv");
+  sjs::sim::save_outcomes_csv(replay.outcomes, replay.completion_times,
+                              bundle.jobs, replay_dir + "/outcomes.csv");
   EXPECT_FALSE(live_csv.empty());
   EXPECT_EQ(live_csv, slurp(replay_dir + "/outcomes.csv"));
 }

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,6 +74,36 @@ TEST(FleetTest, CsvRoundTripIsExact) {
     EXPECT_EQ(loaded.spec(k).speed, fleet.spec(k).speed);
     EXPECT_EQ(loaded.spec(k).cost_rate, fleet.spec(k).cost_rate);
   }
+}
+
+// A fleet row "0,1x,35,2,2.2" used to load silently as c_lo = 1.
+std::string load_fleet_error(const std::string& text) {
+  const auto path =
+      (std::filesystem::path(testing::TempDir()) / "fleet_bad.csv").string();
+  {
+    std::ofstream out(path);
+    out << "server,c_lo,c_hi,speed,cost_rate\n" << text;
+  }
+  try {
+    sjs::cluster::load_fleet_csv(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FleetTest, CsvRejectsMalformedRows) {
+  EXPECT_EQ(load_fleet_error("0,1,35,2,2.2\n"), "");
+  EXPECT_NE(load_fleet_error("0,1x,35,2,2.2\n")
+                .find("fleet.csv row 1 is not numeric"),
+            std::string::npos);
+  EXPECT_NE(load_fleet_error("0,1,35,2,2.2\n1,1,,2,2.2\n")
+                .find("fleet.csv row 2 is not numeric"),
+            std::string::npos);
+  EXPECT_NE(load_fleet_error("0,1,35,2\n")
+                .find("fleet.csv row 1 must have 5 fields"),
+            std::string::npos);
+  EXPECT_NE(load_fleet_error("").find("no machines"), std::string::npos);
 }
 
 TEST(RentalTest, ThresholdControllerHysteresis) {

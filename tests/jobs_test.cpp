@@ -13,6 +13,7 @@
 #include "offline/feasibility.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "temp_paths.hpp"
 
 namespace sjs {
 namespace {
@@ -157,11 +158,11 @@ TEST(Instance, NormalizedEmptyAndAlreadyNormalised) {
                    instance.total_value());
 }
 
+using testing_paths::case_temp_path;
+
 class InstanceIo : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "sjs_jobs_test.csv")
-                          .string();
+  std::string path_ = case_temp_path("sjs_jobs_test", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 };
 
@@ -183,6 +184,56 @@ TEST_F(InstanceIo, LoadRejectsBadRows) {
     out << "id,release,workload,deadline,value\n0,0.0,1.0\n";
   }
   EXPECT_THROW(Instance::load_jobs(path_), std::runtime_error);
+}
+
+// Every field must be one whole number: std::stod/std::stol used to load
+// "1.5abc" as 1.5 and an id "3.7" as 3. The error names the row.
+std::string load_jobs_error(const std::string& path) {
+  try {
+    Instance::load_jobs(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(InstanceIo, LoadRejectsTrailingGarbage) {
+  {
+    std::ofstream out(path_);
+    out << "id,release,workload,deadline,value\n"
+        << "0,0,1,5,1\n"
+        << "1,1.5abc,1,5,1\n";
+  }
+  const std::string what = load_jobs_error(path_);
+  EXPECT_NE(what.find("job row 2 is not numeric"), std::string::npos) << what;
+  EXPECT_NE(what.find("1.5abc"), std::string::npos) << what;
+}
+
+TEST_F(InstanceIo, LoadRejectsFractionalId) {
+  {
+    std::ofstream out(path_);
+    out << "3.7,0,1,5,1\n";
+  }
+  EXPECT_NE(load_jobs_error(path_).find("job row 0 is not numeric"),
+            std::string::npos);
+}
+
+TEST_F(InstanceIo, LoadRejectsEmptyField) {
+  {
+    std::ofstream out(path_);
+    out << "id,release,workload,deadline,value\n0,0,,5,1\n";
+  }
+  EXPECT_NE(load_jobs_error(path_).find("job row 1 is not numeric"),
+            std::string::npos);
+}
+
+TEST_F(InstanceIo, LoadRejectsWrongFieldCount) {
+  {
+    std::ofstream out(path_);
+    out << "id,release,workload,deadline,value\n0,0,1,5,1\n1,0,1,5,1,9\n";
+  }
+  EXPECT_NE(load_jobs_error(path_).find("job row 2 must have 5 fields"),
+            std::string::npos);
 }
 
 TEST_F(InstanceIo, LoadRejectsInvalidJob) {

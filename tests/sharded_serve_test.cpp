@@ -373,8 +373,8 @@ TEST(ShardedServeTest, FourShardJournalsReplayBitExactlyAndUnionMatches) {
     // byte-diff scripts/serve_smoke.sh applies per shard in CI.
     const std::string replay_dir = fresh_dir("sharded_union_replay");
     std::filesystem::create_directories(replay_dir);
-    sjs::sim::save_outcomes_csv(replay, replayed.jobs(),
-                                replay_dir + "/outcomes.csv");
+    sjs::sim::save_outcomes_csv(replay.outcomes, replay.completion_times,
+                                replayed.jobs(), replay_dir + "/outcomes.csv");
     EXPECT_EQ(slurp(shard_dir + "/outcomes.csv"),
               slurp(replay_dir + "/outcomes.csv"))
         << "shard " << k;

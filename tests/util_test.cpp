@@ -2,10 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
+#include <system_error>
 #include <vector>
 
 #include "util/ascii_chart.hpp"
@@ -15,6 +21,7 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "temp_paths.hpp"
 
 namespace sjs {
 namespace {
@@ -453,11 +460,11 @@ TEST(ParseDoubleList, HandlesEmptyAndMalformed) {
 
 // ---------------------------------------------------------------- CSV
 
+using testing_paths::case_temp_path;
+
 class CsvRoundtrip : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "sjs_csv_test.csv")
-                          .string();
+  std::string path_ = case_temp_path("sjs_csv_test", ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
 };
 
@@ -521,7 +528,8 @@ TEST_F(CsvRoundtrip, CrlfTerminatorsAndMissingFinalNewline) {
 TEST_F(CsvRoundtrip, NumericRoundTrip) {
   {
     CsvWriter w(path_);
-    w.write_row_numeric({0.1, 1e-17, 12345.6789});
+    const double row[] = {0.1, 1e-17, 12345.6789};
+    w.write_row_numeric(row, 3);
   }
   auto rows = read_csv(path_);
   ASSERT_EQ(rows.size(), 1u);
@@ -543,6 +551,210 @@ TEST(Csv, ReadMissingFileThrows) {
 
 TEST(Csv, WriteToBadPathThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent/dir/file.csv"), std::runtime_error);
+}
+
+// The "%.17g round-trips" contract of docs/serving.md: the to_chars writer
+// must spell every double exactly as snprintf("%.17g") does (journals,
+// bundles and outcomes.csv stay byte-identical), and every finite value must
+// read back bit-exactly. A switch to shortest to_chars fails here.
+std::string printf_17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string codec_17g(double v) {
+  char buf[kDoubleChars];
+  return std::string(buf, format_double(buf, v));
+}
+
+double from_bits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+std::uint64_t to_bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double parse_whole(const std::string& s) {
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  EXPECT_EQ(ec, std::errc()) << s;
+  EXPECT_EQ(end, s.data() + s.size()) << s;
+  return v;
+}
+
+TEST(CsvCodec, FormatMatchesPrintfOnEdgeValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> edges = {
+      0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      inf, -inf, nan, -nan, 1e16, 1e17, 9007199254740993.0 /* 2^53+1 */,
+      9007199254740992.0, 0.1, 0.2 + 0.1, 1.0 / 3.0, 1.0, 2.0, 3.0, 12.0,
+      858611.0, 4294967295.0, 123456789012.0, 35.0, 1.5, 1e-17, 1e21,
+      12345.6789};
+  for (const double v : edges) {
+    EXPECT_EQ(codec_17g(v), printf_17g(v)) << "bits " << to_bits(v);
+    EXPECT_EQ(format_double(v), printf_17g(v));
+    if (std::isfinite(v)) {
+      EXPECT_EQ(to_bits(parse_whole(codec_17g(v))), to_bits(v)) << v;
+    }
+  }
+  EXPECT_EQ(codec_17g(-0.0), "-0");
+  EXPECT_EQ(codec_17g(5e-324), "4.9406564584124654e-324");
+  EXPECT_EQ(codec_17g(1e17), "1e+17");
+  EXPECT_EQ(codec_17g(0.1), "0.10000000000000001");
+  EXPECT_EQ(codec_17g(42.0), "42");
+}
+
+TEST(CsvCodec, FormatMatchesPrintfOnRandomBitPatterns) {
+  Rng rng(0xC5F, 3);
+  std::size_t mismatches = 0, roundtrip_failures = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double v = from_bits(rng());
+    const std::string mine = codec_17g(v);
+    mismatches += mine != printf_17g(v);
+    if (std::isfinite(v)) {
+      roundtrip_failures += to_bits(parse_whole(mine)) != to_bits(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(roundtrip_failures, 0u);
+}
+
+class NumericCsv : public ::testing::Test {
+ protected:
+  std::string path_ = case_temp_path("sjs_numeric_csv_test", ".csv");
+  void TearDown() override { std::filesystem::remove(path_); }
+  void write(const std::string& text) {
+    std::ofstream out(path_, std::ios::binary);
+    out << text;
+  }
+  // The message NumericCsvReader throws for the first bad field, or "".
+  std::string first_error() {
+    try {
+      NumericCsvReader in(path_, "test");
+      while (in.next()) {
+        if (in.row() == 0) continue;  // header
+        for (std::size_t i = 0; i < in.field_count(); ++i) in.number(i);
+      }
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  }
+};
+
+TEST_F(NumericCsv, WriterRowsReadBackBitExactly) {
+  Rng rng(77);
+  std::vector<double> values;
+  for (int i = 0; i < 4000; ++i) {
+    double v = from_bits(rng());
+    if (std::isnan(v)) v = 0.5;
+    values.push_back(v);
+  }
+  {
+    CsvWriter w(path_);
+    for (std::size_t i = 0; i < values.size(); i += 4) {
+      w.write_row_numeric(values.data() + i, 4);
+    }
+  }
+  NumericCsvReader in(path_, "test");
+  std::size_t k = 0;
+  while (in.next()) {
+    in.expect_fields(4);
+    for (std::size_t i = 0; i < 4; ++i, ++k) {
+      EXPECT_EQ(to_bits(in.number(i)), to_bits(values[k]));
+    }
+  }
+  EXPECT_EQ(k, values.size());
+}
+
+TEST_F(NumericCsv, WideRowsMatchPrintf) {
+  std::vector<double> row;
+  std::string expected;
+  for (int i = 0; i < 20; ++i) {
+    row.push_back(-1.0 / (i + 3));
+    if (i) expected += ',';
+    expected += printf_17g(row.back());
+  }
+  {
+    CsvWriter w(path_);
+    w.write_row_numeric(row.data(), row.size());
+  }
+  std::ifstream in(path_);
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, expected);
+}
+
+TEST_F(NumericCsv, RowsFieldsAndTerminators) {
+  write("a,b\r\n1,2.5\n\n-3,4e2");  // CRLF, a blank row, no final newline
+  NumericCsvReader in(path_, "test");
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.row(), 0u);
+  EXPECT_EQ(in.field(1), "b");
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.integer(0), 1);
+  EXPECT_EQ(in.number(1), 2.5);
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.field_count(), 1u);
+  EXPECT_EQ(in.field(0), "");
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.row(), 3u);
+  EXPECT_EQ(in.integer(0), -3);
+  EXPECT_EQ(in.number(1), 400.0);
+  EXPECT_FALSE(in.next());
+}
+
+TEST_F(NumericCsv, WholeFieldOrRowNumberedError) {
+  const std::vector<std::string> bad = {"1.5abc", "", " 1", "1 ", "+1",
+                                        "\"1\"", "0x10", "1,5x"};
+  for (const std::string& field : bad) {
+    write("h\n0\n" + field + "\n");
+    const std::string what = first_error();
+    EXPECT_NE(what.find("test row 2 is not numeric"), std::string::npos)
+        << "field '" << field << "': " << what;
+    EXPECT_NE(what.find(path_), std::string::npos) << what;
+  }
+  write("1\n2\n");
+  EXPECT_EQ(first_error(), "");
+}
+
+TEST_F(NumericCsv, IntegerRejectsFractionsAndExponents) {
+  write("3.7,3e2,12,-4\n");
+  NumericCsvReader in(path_, "test");
+  ASSERT_TRUE(in.next());
+  EXPECT_THROW(in.integer(0), std::runtime_error);
+  EXPECT_THROW(in.integer(1), std::runtime_error);
+  EXPECT_EQ(in.integer(2), 12);
+  EXPECT_EQ(in.integer(3), -4);
+}
+
+TEST_F(NumericCsv, FieldCountErrorNamesTheRow) {
+  write("1,2\n1,2,3\n");
+  NumericCsvReader in(path_, "test");
+  ASSERT_TRUE(in.next());
+  EXPECT_NO_THROW(in.expect_fields(2));
+  ASSERT_TRUE(in.next());
+  try {
+    in.expect_fields(2);
+    FAIL() << "3 fields accepted as 2";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("test row 1 must have 2 fields"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NumericCsvReaderTest, MissingFileThrows) {
+  EXPECT_THROW(NumericCsvReader("/nonexistent/definitely/missing.csv", "x"),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------------- ASCII chart
@@ -578,9 +790,7 @@ TEST(AsciiChart, SparklineLengthMatches) {
 
 class GnuplotTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "sjs_gnuplot_test.gp")
-                          .string();
+  std::string path_ = case_temp_path("sjs_gnuplot_test", ".gp");
   void TearDown() override { std::filesystem::remove(path_); }
 
   std::string read_all() {

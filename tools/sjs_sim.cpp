@@ -101,7 +101,8 @@ int run_cluster_replay(const std::string& dir, const std::string& outcomes_csv) 
               static_cast<unsigned long long>(result.rented_peak),
               static_cast<unsigned long long>(result.migrations));
   if (!outcomes_csv.empty()) {
-    sjs::cloud::save_multi_outcomes_csv(result, bundle.jobs, outcomes_csv);
+    sjs::sim::save_outcomes_csv(result.outcomes, result.completion_times,
+                                bundle.jobs, outcomes_csv);
     std::printf("outcomes written to %s\n", outcomes_csv.c_str());
   }
   return 0;
@@ -350,7 +351,8 @@ int main(int argc, char** argv) {
   }
 
   if (!flags.get_string("outcomes-csv").empty()) {
-    sjs::sim::save_outcomes_csv(result, instance.jobs(),
+    sjs::sim::save_outcomes_csv(result.outcomes, result.completion_times,
+                                instance.jobs(),
                                 flags.get_string("outcomes-csv"));
     std::printf("outcomes written to %s\n",
                 flags.get_string("outcomes-csv").c_str());
@@ -360,8 +362,9 @@ int main(int argc, char** argv) {
     sjs::CsvWriter writer(flags.get_string("trace-csv"));
     writer.write_row({"time", "cumulative_value"});
     for (std::size_t i = 0; i < result.value_trace.size(); ++i) {
-      writer.write_row_numeric(
-          {result.value_trace.times()[i], result.value_trace.values()[i]});
+      const double row[] = {result.value_trace.times()[i],
+                            result.value_trace.values()[i]};
+      writer.write_row_numeric(row, 2);
     }
     std::printf("value trace written to %s\n",
                 flags.get_string("trace-csv").c_str());
