@@ -65,7 +65,7 @@ class FleetBackend {
   double now() const { return engine_.now(); }
   serve::JobState state(JobId id, double& remaining) const;
 
-  void reserve(std::size_t n);
+  void reserve(std::size_t in_flight, std::size_t jobs);
   void attach_trace(obs::TraceSink* sink) { engine_.attach_trace(sink); }
   void begin_live() { engine_.begin_live(); }
   /// finish_live, then settles the rental account at the final instant (so

@@ -67,12 +67,14 @@ ReadyQueue::~ReadyQueue() {
 }
 
 void ReadyQueue::reserve(std::size_t id_bound) {
-  // This IS the pre-sizing remedy: grow every table before the hot loop.
-  // The scratch is included so all buffers a queue donates to the recycler
-  // have capacity >= id_bound — whichever buffer the next same-sized queue
-  // adopts, its own reserve() is then a no-op (the zero-allocation warmed
-  // steady state depends on this interchangeability).
-  if (pos_.size() < id_bound) util::grow_fill(pos_, id_bound, kNpos);
+  // This IS the pre-sizing remedy: reserve every table before the hot loop.
+  // The position index is reserved, not filled: push() extends it within
+  // capacity, so a live session's large id bound costs address space, not
+  // resident memory. The scratch is included so all buffers a queue donates
+  // to the recycler have capacity >= id_bound — whichever buffer the next
+  // same-sized queue adopts, its own reserve() is then a no-op (the
+  // zero-allocation warmed steady state depends on this interchangeability).
+  pos_.reserve(id_bound);
   heap_.reserve(id_bound);
   scratch_.reserve(id_bound);
 }

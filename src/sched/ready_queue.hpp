@@ -63,7 +63,7 @@ class ReadyQueue {
   ReadyQueue(const ReadyQueue&) = delete;
   ReadyQueue& operator=(const ReadyQueue&) = delete;
 
-  /// Sizes the position index for JobIds in [0, id_bound) and reserves heap
+  /// Reserves the position index for JobIds in [0, id_bound) and the heap
   /// storage, so a run whose queue never exceeds id_bound entries performs
   /// no allocation after this call. Schedulers call it from on_start with
   /// engine.job_count().

@@ -152,10 +152,10 @@ class Server final : public EventLoop::Handler {
         shards_.push_back(std::make_unique<Shard>(config_, k, *clock_));
         loop_.watch(shards_[k]->replies.wake_fd());
       }
-      // Pre-size the per-ticket tables for a full plane's in-flight set;
-      // growth past this total is amortized, not per-request.
-      const std::size_t n =
-          static_cast<std::size_t>(config_.max_in_flight) * config_.shards;
+      // Pre-size the per-ticket tables (indexed by global ticket) for every
+      // shard's dense reservation (kSessionJobReserve); growth past this
+      // total is amortized, not per-request.
+      const std::size_t n = kSessionJobReserve * config_.shards;
       ticket_shard_.reserve(n);
       ticket_value_.reserve(n);
     }
@@ -285,7 +285,12 @@ class Server final : public EventLoop::Handler {
     Message m;
     while (true) {
       const FrameDecoder::Status st = dec.next(m);
-      if (st == FrameDecoder::Status::kNeedMore) return;
+      if (st == FrameDecoder::Status::kNeedMore) {
+        // End of this read's requests: one journal flush for all of them,
+        // before any of their replies can reach the socket.
+        commit_inline();
+        return;
+      }
       if (st == FrameDecoder::Status::kMalformed) {
         count("server.malformed_frames");
         refuse(conn, 0, ErrorCode::kMalformedFrame);
@@ -374,6 +379,7 @@ class Server final : public EventLoop::Handler {
       while ((st = shard.requests.try_pop(req)) == conc::PopStatus::kOk) {
         session.on_request(req);
       }
+      session.commit();
       if (st == conc::PopStatus::kDrained) break;
       session.pump();
       // Park until the next simulated event is due or the acceptor signals.
@@ -413,6 +419,7 @@ class Server final : public EventLoop::Handler {
         return;
       }
       case MsgType::kStats: {
+        commit_inline();  // replies keep request order
         Message r;
         r.type = MsgType::kStatsReply;
         r.seq = m.seq;
@@ -421,6 +428,7 @@ class Server final : public EventLoop::Handler {
         return;
       }
       case MsgType::kDrain: {
+        commit_inline();
         Message r;
         r.type = MsgType::kDraining;
         r.seq = m.seq;
@@ -436,12 +444,19 @@ class Server final : public EventLoop::Handler {
 
   /// Answers ERROR(code) and hangs up on the offender.
   void refuse(int conn, std::uint64_t seq, ErrorCode code) {
+    commit_inline();  // close_conn flushes the socket's queued replies
     Message err;
     err.type = MsgType::kError;
     err.seq = seq;
     err.code = static_cast<std::uint8_t>(code);
     send_frame(loop_, conn, err);
     loop_.close_conn(conn);
+  }
+
+  /// An inline session's group commit (Session::commit); replies the front
+  /// end writes itself must not overtake the ones the session holds.
+  void commit_inline() {
+    if (inline_) inline_->commit();
   }
 
   void forward_submit(Request& req) {

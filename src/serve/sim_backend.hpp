@@ -42,7 +42,7 @@ class SimBackend {
   double now() const { return engine_.now(); }
   JobState state(JobId id, double& remaining) const;
 
-  void reserve(std::size_t n);
+  void reserve(std::size_t in_flight, std::size_t jobs);
   void attach_trace(obs::TraceSink* sink) { engine_.attach_trace(sink); }
   void begin_live() { engine_.begin_live(); }
   void finish(obs::MetricsRegistry::Shard* metrics);

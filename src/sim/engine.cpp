@@ -568,20 +568,21 @@ const SimResult& Engine::finish_live() {
   return result_;
 }
 
-void Engine::reserve_live(std::size_t max_in_flight) {
-  live_reserve_ = max_in_flight;
-  jobs_.reserve(max_in_flight);
+void Engine::reserve_live(std::size_t max_in_flight, std::size_t jobs) {
+  const std::size_t dense = std::max(max_in_flight, jobs);
+  live_reserve_ = dense;
+  jobs_.reserve(dense);
   // Live releases/expiries go to the volatile heap: up to two events per
   // in-flight job, plus the running job's completion.
   heap_.reserve(2 * max_in_flight + 1);
   // The static side of a live run only takes capacity breakpoints.
   static_events_.reserve(instance_->capacity().breakpoints().size());
   wheel_.reserve(max_in_flight);
-  result_.completion_times.reserve(max_in_flight);
-  result_.release_times.reserve(max_in_flight);
-  result_.outcomes.reserve(max_in_flight);
-  result_.executed_work.reserve(max_in_flight);
-  result_.value_trace.reserve(max_in_flight);
+  result_.completion_times.reserve(dense);
+  result_.release_times.reserve(dense);
+  result_.outcomes.reserve(dense);
+  result_.executed_work.reserve(dense);
+  result_.value_trace.reserve(dense);
 }
 
 }  // namespace sjs::sim

@@ -117,19 +117,22 @@ class Engine {
 
   bool live_mode() const { return live_; }
 
-  /// Pre-sizes every structure that grows with in-flight population — the
-  /// job slab, both event-queue sides, the timer wheel's node slab, and the
-  /// result's per-job vectors — for `max_in_flight` simultaneous jobs, so a
-  /// warmed live session performs zero heap allocations in steady state
-  /// (the serve plane calls this at boot with --max-in-flight). Sessions
-  /// admitting more than `max_in_flight` jobs *in total* still grow the
-  /// dense per-admitted-job tables past the pre-size (amortized, documented
-  /// in docs/performance.md).
-  void reserve_live(std::size_t max_in_flight);
+  /// Pre-sizes a live session: the structures that grow with the in-flight
+  /// population (both event-queue sides, the timer wheel's node slab) for
+  /// `max_in_flight` simultaneous jobs, and the dense per-admitted-job
+  /// tables (the job slab's lanes, the result's per-job vectors, and —
+  /// through job_capacity_hint() — the scheduler's id-indexed queues) for
+  /// max(jobs, max_in_flight) admitted jobs. A warmed live session then
+  /// performs zero heap allocations in steady state (the serve plane calls
+  /// this at boot with --max-in-flight and serve::kSessionJobReserve).
+  /// Sessions admitting more jobs *in total* still grow the dense tables
+  /// past the pre-size (amortized, documented in docs/performance.md).
+  void reserve_live(std::size_t max_in_flight, std::size_t jobs = 0);
 
   /// Bound schedulers should size their per-job structures for in
   /// on_start(): the static job count on replay runs, or the reserve_live()
-  /// pre-size in a live session (where job_count() is still 0 at start).
+  /// dense pre-size in a live session (where job_count() is still 0 at
+  /// start).
   std::size_t job_capacity_hint() const {
     return std::max(job_count(), live_reserve_);
   }
@@ -362,7 +365,7 @@ class Engine {
   bool in_callback_ = false;
   bool live_ = false;  // live admission mode (begin_live..finish_live)
   bool record_schedule_ = false;
-  std::size_t live_reserve_ = 0;  // reserve_live() pre-size (capacity hint)
+  std::size_t live_reserve_ = 0;  // reserve_live() dense pre-size (hint)
   obs::TraceSink* sink_ = nullptr;
   SimResult result_;
 };
