@@ -675,6 +675,31 @@ void BM_ReplayIO(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplayIO)->Arg(100000)->Unit(benchmark::kMillisecond);
 
+void BM_ClusterReplay(benchmark::State& state) {
+  // The engine layer of a serve-fleet journal replay, without the CSV I/O
+  // (BM_ReplayIO times that): run_cluster over arg(0) journal-shaped jobs on
+  // the serve plane's fleet — four heterogeneous machines on constant
+  // serving paths under the threshold rental controller, as
+  // `sjs_serve --cluster=4 --rental=threshold` runs. Items are jobs.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<sjs::Job> jobs = journal_like_jobs(n);
+  const sjs::cluster::Fleet fleet = sjs::cluster::Fleet::heterogeneous(4);
+  const auto paths = fleet.constant_paths();
+  std::uint64_t dispatches = 0;
+  for (auto _ : state) {
+    sjs::cluster::Dispatcher dispatcher(
+        fleet, sjs::cluster::DispatcherConfig{},
+        sjs::cluster::make_rental_controller("threshold"));
+    const auto result = sjs::cluster::run_cluster(jobs, paths, dispatcher);
+    dispatches = result.dispatches;
+    benchmark::DoNotOptimize(result.completed_value);
+  }
+  state.counters["dispatches/job"] =
+      static_cast<double>(dispatches) / static_cast<double>(n);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ClusterReplay)->Arg(100000)->Unit(benchmark::kMillisecond);
+
 void BM_ChannelThroughput(benchmark::State& state) {
   // Single-producer/single-consumer drain of the bounded MPSC channel the
   // sharded plane forwards every request through (src/conc/channel.hpp):

@@ -9,8 +9,9 @@
 #      server.jobs_accepted metric equals the summary's accepted count,
 #   3. the journal directory is a parseable instance bundle, and
 #   4. replaying it through sjs_sim reproduces the live outcomes
-#      byte-identically (diff of outcomes.csv), and (single plane) a copy
-#      with one corrupted jobs.csv field is refused with the row named.
+#      byte-identically (diff of outcomes.csv), and a copy with one
+#      corrupted field is refused with the field named (single plane: a
+#      jobs.csv field; fleet plane: the meta.csv budget).
 #
 # The gate runs three times: against the single-threaded server, against the
 # sharded plane (--shards=4, sjs_load --connections=4, where step 3/4 apply
@@ -171,5 +172,21 @@ smoke_phase cluster "$WORK/journalc" --cluster=4 --
 replay_cluster_bundle "$WORK/journalc" cluster
 grep -q "^drained: cluster of 4" "$WORK/server_cluster.log" || {
   echo "FAIL: no cluster drain summary" >&2; exit 1; }
+# Negative replay: a copy of the cluster journal whose meta.csv budget reads
+# "1.5abc" must be refused, naming the field, instead of replaying with the
+# numeric prefix 1.5 as the budget.
+cp -r "$WORK/journalc" "$WORK/journalc_bad"
+awk -F, -v OFS=, '$1 == "budget" { $2 = "1.5abc" } { print }' \
+  "$WORK/journalc/meta.csv" > "$WORK/journalc_bad/meta.csv"
+grep -q "^budget,1.5abc$" "$WORK/journalc_bad/meta.csv" || {
+  echo "FAIL(cluster): meta.csv has no budget row to corrupt" >&2; exit 1; }
+if "$SIM" --cluster-bundle="$WORK/journalc_bad" \
+    > "$WORK/replay_cbad.log" 2> "$WORK/replay_cbad.err"; then
+  echo "FAIL(cluster): a corrupted meta.csv budget replayed" >&2; exit 1
+fi
+grep -q "budget '1.5abc'" "$WORK/replay_cbad.err" || {
+  echo "FAIL(cluster): corrupted-meta error does not name the budget:" >&2
+  cat "$WORK/replay_cbad.err" >&2; exit 1; }
+echo "corrupted meta rejected: $(cat "$WORK/replay_cbad.err")"
 
 echo "PASS: clean SIGTERM drains ($SINGLE_COMPLETED single / $SHARDED_COMPLETED sharded / $COMPLETED cluster completed), all replays bit-exact"

@@ -1,38 +1,36 @@
 #include "cloud/global_sched.hpp"
 
 #include <algorithm>
-#include <vector>
+
+#include "util/vec.hpp"
 
 namespace sjs::cloud {
 
-double GlobalKeyScheduler::priority(const MultiEngine& engine,
-                                    JobId job) const {
-  const Job& j = engine.job(job);
-  // Lower is better; negate density so higher density sorts first.
-  return key_ == GlobalKey::kDeadline ? j.deadline : -j.value_density();
+double global_priority(GlobalKey key, const Job& job) {
+  return key == GlobalKey::kDeadline ? job.deadline : -job.value_density();
 }
 
-void GlobalKeyScheduler::reschedule(MultiEngine& engine) {
+void TopKPlacement::resize(std::size_t servers) {
+  util::grow(chosen_, servers);
+  util::grow(available_, servers);
+}
+
+void TopKPlacement::place(MultiEngine& engine, sched::ReadyQueue& live,
+                          std::size_t slots,
+                          const std::vector<char>* eligible) {
   const std::size_t k = engine.server_count();
+  const std::size_t n = std::min({slots, live.size(), chosen_.size()});
+  for (std::size_t i = 0; i < n; ++i) chosen_[i] = live.pop();
+  for (std::size_t i = 0; i < n; ++i) live.push(chosen_[i].key, chosen_[i].id);
 
-  // The top-K live jobs by priority.
-  std::vector<JobId> chosen;
-  chosen.reserve(k);
-  for (const auto& [prio, job] : live_) {
-    if (chosen.size() == k) break;
-    chosen.push_back(job);
+  for (std::size_t s = 0; s < k; ++s) {
+    available_[s] = eligible == nullptr ? 1 : (*eligible)[s];
   }
-
-  // Assign in priority order: each winner takes the fastest still-available
-  // server, *staying put when its current server ties the maximum* (no
-  // gratuitous migration among equal machines). run_on handles everything:
-  // placing a queued job, preempting a lower-priority incumbent, and
-  // migrating a running winner onto a faster machine.
-  std::vector<bool> available(k, true);
-  for (JobId job : chosen) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const JobId job = chosen_[i].id;
     std::size_t best = kNoServer;
     for (std::size_t s = 0; s < k; ++s) {
-      if (!available[s]) continue;
+      if (!available_[s]) continue;
       if (best == kNoServer ||
           engine.server_rate(s) > engine.server_rate(best)) {
         best = s;
@@ -40,36 +38,38 @@ void GlobalKeyScheduler::reschedule(MultiEngine& engine) {
     }
     const std::size_t current = engine.server_of(job);
     std::size_t target = best;
-    if (current != kNoServer && available[current] &&
+    if (current != kNoServer && available_[current] &&
         engine.server_rate(current) >= engine.server_rate(best)) {
       target = current;
     }
-    available[target] = false;
+    available_[target] = 0;
     if (current != target) engine.run_on(target, job);
   }
-  // Any remaining server still executing a non-winner goes idle.
   for (std::size_t s = 0; s < k; ++s) {
-    if (available[s] && engine.running_on(s) != kNoJob) {
-      engine.idle(s);
-    }
+    if (available_[s] && engine.running_on(s) != kNoJob) engine.idle(s);
   }
 }
 
+void GlobalKeyScheduler::on_start(MultiEngine& engine) {
+  live_.reserve(engine.job_capacity_hint());
+  placement_.resize(engine.server_count());
+}
+
 void GlobalKeyScheduler::on_release(MultiEngine& engine, JobId job) {
-  live_.emplace(priority(engine, job), job);
-  reschedule(engine);
+  live_.push(global_priority(key_, engine.job(job)), job);
+  placement_.place(engine, live_, engine.server_count(), nullptr);
 }
 
 void GlobalKeyScheduler::on_complete(MultiEngine& engine, JobId job,
                                      std::size_t /*server*/) {
-  live_.erase({priority(engine, job), job});
-  reschedule(engine);
+  live_.erase(job);
+  placement_.place(engine, live_, engine.server_count(), nullptr);
 }
 
 void GlobalKeyScheduler::on_expire(MultiEngine& engine, JobId job,
                                    std::size_t /*server*/) {
-  live_.erase({priority(engine, job), job});
-  reschedule(engine);
+  live_.erase(job);
+  placement_.place(engine, live_, engine.server_count(), nullptr);
 }
 
 }  // namespace sjs::cloud

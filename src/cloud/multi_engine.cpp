@@ -21,25 +21,47 @@ MultiEngine::MultiEngine(const std::vector<Job>& jobs,
     SJS_CHECK_MSG(i == 0 || jobs[i].release >= jobs[i - 1].release,
                   "jobs must be release-sorted");
   }
+  SJS_CHECK_MSG(servers_.size() < kNoEventServer, "too many servers");
   running_.assign(servers_.size(), kNoJob);
   epochs_.assign(servers_.size(), 0);
+  completion_queued_.assign(servers_.size(), 0);
+  cursors_.reserve(servers_.size());
+  for (const cap::CapacityProfile& path : servers_) {
+    util::append(cursors_, cap::CapacityProfile::Cursor(path));
+  }
   placement_.assign(jobs.size(), kNoServer);
   remaining_.resize(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     remaining_[i] = jobs[i].workload;
   }
   outcomes_.assign(jobs.size(), sim::JobOutcome::kPending);
-  released_.assign(jobs.size(), false);
+  released_.assign(jobs.size(), 0);
 }
 
-void MultiEngine::push_event(double time, EventType type, JobId jid,
-                             std::size_t server, std::uint64_t epoch) {
-  queue_.push(Event{time, type, next_seq_++, jid, server, epoch});
+void MultiEngine::push_job_event(double time, EventType type, JobId jid) {
+  // Growth to the session high-water only; reserve_live pre-sizes the heap.
+  events_.push(Event{time, next_seq_++, jid, 0, kNoEventServer, type});
+}
+
+void MultiEngine::seal() {
+  // Seqs 2i / 2i+1: those of a release-then-expiry push per job, the order
+  // admit_live pushes in, so a session and its replay tie-break alike.
+  const std::size_t n = jobs_->size();
+  events_.seal(*jobs_, n, next_seq_, nullptr, 0,
+               [](sim::SealKind kind, double time, std::uint64_t seq,
+                  std::size_t index) {
+                 return Event{time, seq, static_cast<JobId>(index), 0,
+                              kNoEventServer,
+                              kind == sim::SealKind::kExpiry
+                                  ? EventType::kExpiry
+                                  : EventType::kRelease};
+               });
+  next_seq_ += events_.static_size();
 }
 
 double MultiEngine::server_rate(std::size_t server) const {
   SJS_CHECK(server < servers_.size());
-  return servers_[server].rate(now_);
+  return cursors_[server].rate(now_);
 }
 
 double MultiEngine::remaining(JobId id) const {
@@ -74,7 +96,7 @@ void MultiEngine::advance_all(double t) {
     for (std::size_t s = 0; s < servers_.size(); ++s) {
       const JobId jid = running_[s];
       if (jid == kNoJob) continue;
-      const double executed = servers_[s].work(last_advance_, t);
+      const double executed = cursors_[s].work(last_advance_, t);
       auto& rem = remaining_[static_cast<std::size_t>(jid)];
       rem = std::max(0.0, rem - executed);
       result_.busy_time_per_server[s] += t - last_advance_;
@@ -83,13 +105,28 @@ void MultiEngine::advance_all(double t) {
   last_advance_ = t;
 }
 
+void MultiEngine::invalidate_completion(std::size_t server) {
+  ++epochs_[server];
+  if (completion_queued_[server] == 0) return;
+  completion_queued_[server] = 0;
+  events_.mark_dead();
+  if (!events_.compaction_due(queued_completions_)) return;
+  // Order-neutral purge of the stale completions. The trigger counts only
+  // completions, so a live session and its replay purge at the same events.
+  queued_completions_ -= events_.dead();
+  events_.compact([&](const Event& e) {
+    return e.type == EventType::kCompletion && e.epoch != epochs_[e.server];
+  });
+  ++result_.heap_compactions;
+}
+
 void MultiEngine::halt_server(std::size_t server) {
   const JobId jid = running_[server];
   if (jid != kNoJob) {
     placement_[static_cast<std::size_t>(jid)] = kNoServer;
     running_[server] = kNoJob;
   }
-  ++epochs_[server];
+  invalidate_completion(server);
 }
 
 void MultiEngine::schedule_completion(std::size_t server) {
@@ -97,10 +134,14 @@ void MultiEngine::schedule_completion(std::size_t server) {
   if (jid == kNoJob) return;
   const Job& j = job(jid);
   const double completion =
-      servers_[server].invert(now_, remaining_[static_cast<std::size_t>(jid)]);
+      cursors_[server].invert(now_, remaining_[static_cast<std::size_t>(jid)]);
   if (completion <= j.deadline + sim::deadline_eps(j.deadline)) {
-    push_event(std::min(completion, j.deadline), EventType::kCompletion, jid,
-               server, epochs_[server]);
+    // Clamped so a completion "at" the deadline sorts before the expiry.
+    events_.push(Event{std::min(completion, j.deadline), next_seq_++, jid,
+                       epochs_[server], static_cast<std::uint32_t>(server),
+                       EventType::kCompletion});
+    completion_queued_[server] = 1;
+    ++queued_completions_;
   }
 }
 
@@ -128,7 +169,7 @@ void MultiEngine::run_on(std::size_t server, JobId id) {
     }
     halt_server(server);
   } else {
-    ++epochs_[server];
+    invalidate_completion(server);
   }
   running_[server] = id;
   placement_[static_cast<std::size_t>(id)] = server;
@@ -158,16 +199,26 @@ void MultiEngine::stop(JobId id) {
   if (server != kNoServer) idle(server);
 }
 
+// sjs-hot-path-root
+void MultiEngine::step_event() {
+  process_event(events_.pop());
+}
+
 void MultiEngine::process_event(const Event& event) {
   now_ = std::max(now_, event.time);
+  // Dead events subdivide the execution integrals too, exactly as in
+  // sim::Engine; the compaction trigger keeps that identical across modes.
   advance_all(now_);
   in_callback_ = true;
   switch (event.type) {
     case EventType::kCompletion: {
-      if (event.server == kNoServer || event.epoch != epochs_[event.server] ||
+      --queued_completions_;
+      if (event.epoch != epochs_[event.server] ||
           running_[event.server] != event.job) {
-        break;  // stale
+        events_.drop_dead();  // counted when its epoch was bumped
+        break;
       }
+      completion_queued_[event.server] = 0;
       const auto idx = static_cast<std::size_t>(event.job);
       SJS_CHECK_MSG(remaining_[idx] <
                         sim::completion_residue_bound(
@@ -198,7 +249,7 @@ void MultiEngine::process_event(const Event& event) {
       break;
     }
     case EventType::kRelease: {
-      released_[static_cast<std::size_t>(event.job)] = true;
+      released_[static_cast<std::size_t>(event.job)] = 1;
       const Job& j = job(event.job);
       trace(obs::TraceKind::kRelease, event.job, kNoServer, j.workload,
             j.deadline);
@@ -227,11 +278,8 @@ MultiSimResult MultiEngine::run_to_completion() {
   result_.busy_time_per_server.assign(servers_.size(), 0.0);
   result_.completion_times.assign(jobs_->size(),
                                   std::numeric_limits<double>::quiet_NaN());
-  for (const Job& j : *jobs_) {
-    result_.generated_value += j.value;
-    push_event(j.release, EventType::kRelease, j.id, kNoServer, 0);
-    push_event(j.deadline, EventType::kExpiry, j.id, kNoServer, 0);
-  }
+  for (const Job& j : *jobs_) result_.generated_value += j.value;
+  seal();
 
   trace(obs::TraceKind::kRunStart, kNoJob, kNoServer,
         static_cast<double>(jobs_->size()),
@@ -241,11 +289,7 @@ MultiSimResult MultiEngine::run_to_completion() {
   scheduler_->on_start(*this);
   in_callback_ = false;
 
-  while (!queue_.empty()) {
-    const Event event = queue_.top();
-    queue_.pop();
-    process_event(event);
-  }
+  while (events_.pending() > 0) step_event();
 
   harvest();
   return result_;
@@ -261,12 +305,14 @@ void MultiEngine::begin_live() {
   result_.busy_time_per_server.assign(servers_.size(), 0.0);
   result_.completion_times.assign(jobs_->size(),
                                   std::numeric_limits<double>::quiet_NaN());
+  // The reset above dropped reserve_live's pre-size of this one.
+  result_.completion_times.reserve(live_reserve_);
   // A live session normally starts empty, but admit any pre-loaded jobs so a
   // warm-started fleet behaves like the equivalent replay.
   for (const Job& j : *jobs_) {
     result_.generated_value += j.value;
-    push_event(j.release, EventType::kRelease, j.id, kNoServer, 0);
-    push_event(j.deadline, EventType::kExpiry, j.id, kNoServer, 0);
+    push_job_event(j.release, EventType::kRelease, j.id);
+    push_job_event(j.deadline, EventType::kExpiry, j.id);
   }
   trace(obs::TraceKind::kRunStart, kNoJob, kNoServer,
         static_cast<double>(jobs_->size()),
@@ -276,12 +322,19 @@ void MultiEngine::begin_live() {
   in_callback_ = false;
 }
 
-void MultiEngine::reserve_live(std::size_t jobs) {
-  placement_.reserve(jobs);
-  remaining_.reserve(jobs);
-  outcomes_.reserve(jobs);
-  released_.reserve(jobs);
-  result_.completion_times.reserve(jobs);
+void MultiEngine::reserve_live(std::size_t max_in_flight, std::size_t jobs) {
+  const std::size_t dense = std::max(max_in_flight, jobs);
+  live_reserve_ = dense;
+  placement_.reserve(dense);
+  remaining_.reserve(dense);
+  outcomes_.reserve(dense);
+  released_.reserve(dense);
+  result_.completion_times.reserve(dense);
+  // A release and an expiry per in-flight job, a completion per server, and
+  // the dead completions compaction lets accumulate (at most as many as the
+  // live ones once past the minimum).
+  events_.reserve_volatile(2 * max_in_flight + 2 * servers_.size() +
+                           sim::kCompactionMinEvents);
 }
 
 void MultiEngine::admit_live(JobId id) {
@@ -298,17 +351,18 @@ void MultiEngine::admit_live(JobId id) {
                     << now_);
   // Dense append: live ids stay == admission order, exactly as the replayed
   // Instance canonical form requires. Release-then-expiry push order per job
-  // matches run_to_completion's loop, so relative seq order within every
-  // (time, type) class — the only thing the tie-break reads — is identical.
+  // matches the batch seal's seqs (2i, 2i+1), so relative seq order within
+  // every (time, type) class — the only thing the tie-break reads — is
+  // identical.
   util::append(placement_, kNoServer);
   util::append(remaining_, j.workload);
   util::append(outcomes_, sim::JobOutcome::kPending);
-  released_.push_back(false);
+  util::append(released_, std::uint8_t{0});
   result_.generated_value += j.value;
   util::append(result_.completion_times,
                std::numeric_limits<double>::quiet_NaN());
-  push_event(j.release, EventType::kRelease, id, kNoServer, 0);
-  push_event(j.deadline, EventType::kExpiry, id, kNoServer, 0);
+  push_job_event(j.release, EventType::kRelease, id);
+  push_job_event(j.deadline, EventType::kExpiry, id);
 }
 
 bool MultiEngine::cancel_live(JobId id) {
@@ -317,7 +371,8 @@ bool MultiEngine::cancel_live(JobId id) {
   // Deliver an ordinary expiry interrupt at the current instant; the job's
   // original expiry event stays queued and later pops as a no-op.
   advance_all(now_);
-  process_event(Event{now_, EventType::kExpiry, next_seq_++, id, kNoServer, 0});
+  process_event(Event{now_, next_seq_++, id, 0, kNoEventServer,
+                      EventType::kExpiry});
   return true;
 }
 
@@ -325,11 +380,7 @@ void MultiEngine::advance_to(double t) {
   SJS_CHECK_MSG(live_ && !in_callback_, "advance_to outside live mode");
   SJS_CHECK_MSG(t >= now_ - 1e-12,
                 "advance_to moving backwards: " << t << " < " << now_);
-  while (!queue_.empty() && queue_.top().time < t) {
-    const Event event = queue_.top();
-    queue_.pop();
-    process_event(event);
-  }
+  while (events_.front_time() < t) step_event();
   now_ = std::max(now_, t);
   // last_advance_ deliberately stays at the last processed event: execution
   // integrals must be subdivided at event times only, exactly as replay
@@ -337,17 +388,12 @@ void MultiEngine::advance_to(double t) {
 }
 
 double MultiEngine::next_event_time() const {
-  if (queue_.empty()) return std::numeric_limits<double>::infinity();
-  return queue_.top().time;
+  return events_.front_time();
 }
 
 const MultiSimResult& MultiEngine::finish_live() {
   SJS_CHECK_MSG(live_ && !in_callback_, "finish_live outside live mode");
-  while (!queue_.empty()) {
-    const Event event = queue_.top();
-    queue_.pop();
-    process_event(event);
-  }
+  while (events_.pending() > 0) step_event();
   harvest();
   live_ = false;
   return result_;

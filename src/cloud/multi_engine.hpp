@@ -14,16 +14,31 @@
 // server via cumulative-work inversion, deterministic event ordering
 // (Completion < Expiry < Release, FIFO within class), lazy invalidation via
 // per-server dispatch epochs, and online information hiding.
+//
+// Events run through the same queue core as sim::Engine
+// (sim/event_queue.hpp). A batch run seals the n releases and n expiries
+// once, by merge (releases already ascend; only the expiries are sorted),
+// with the seqs a push-everything queue would assign (release 2i, expiry
+// 2i+1), and consumes them with a cursor. The volatile heap holds only the
+// completions — plus, in live mode, the releases and expiries of admitted
+// jobs. The pop merges the two fronts under the (time, type, seq) order, so
+// the event sequence, and every outcome byte, equals a single queue's.
+// Completions invalidated by a preemption or migration are counted dead and
+// purged once they outnumber the live ones among the queued completions —
+// a trigger that depends only on the dispatch history, so a live session
+// and its replay compact at the same instants. Per-server rate/work/invert
+// go through one monotone cap::CapacityProfile::Cursor per server.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
 #include "jobs/job.hpp"
 #include "obs/trace_sink.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/result.hpp"
 #include "util/fp.hpp"
 
@@ -57,6 +72,7 @@ struct MultiSimResult {
   std::uint64_t dispatches = 0;
   std::uint64_t preemptions = 0;
   std::uint64_t migrations = 0;  ///< dispatches onto a different server
+  std::uint64_t heap_compactions = 0;  ///< purges of stale completions
   std::vector<sim::JobOutcome> outcomes;
   std::vector<double> executed_work;
   std::vector<double> completion_times;  ///< NaN while pending/expired
@@ -83,6 +99,9 @@ class MultiEngine {
   MultiEngine(const std::vector<Job>& jobs,
               std::vector<cap::CapacityProfile> servers,
               GlobalScheduler& scheduler);
+  // The capacity cursors point into servers_.
+  MultiEngine(const MultiEngine&) = delete;
+  MultiEngine& operator=(const MultiEngine&) = delete;
 
   MultiSimResult run_to_completion();
 
@@ -90,8 +109,17 @@ class MultiEngine {
   /// Enters live mode: no pre-loaded events beyond jobs already present in
   /// the backing vector (a warm-started fleet behaves like its replay).
   void begin_live();
-  /// Pre-sizes the per-job tables for `jobs` admitted jobs.
-  void reserve_live(std::size_t jobs);
+  /// Pre-sizes a live session: the volatile event heap for `max_in_flight`
+  /// simultaneous jobs (their releases and expiries, one completion per
+  /// server, and the dead completions compaction tolerates), and the dense
+  /// per-job tables for max(jobs, max_in_flight) admitted jobs — also the
+  /// job_capacity_hint() a scheduler sizes its queues from in on_start.
+  void reserve_live(std::size_t max_in_flight, std::size_t jobs = 0);
+  /// What a scheduler should size its per-job structures for in on_start():
+  /// the job count on batch runs, the reserve_live() pre-size when live.
+  std::size_t job_capacity_hint() const {
+    return std::max(job_count(), live_reserve_);
+  }
   /// Registers the job at `id` (must already be appended to the backing jobs
   /// vector, dense id == position, release >= now). Pushes its release and
   /// expiry events exactly as replay does, so relative event order — and
@@ -153,11 +181,11 @@ class MultiEngine {
 
   struct Event {
     double time;
-    EventType type;
     std::uint64_t seq;
     JobId job;
-    std::size_t server = kNoServer;
-    std::uint64_t epoch = 0;
+    std::uint64_t epoch;   ///< dispatch epoch of `server` (completions)
+    std::uint32_t server;  ///< kNoEventServer unless a completion
+    EventType type;
 
     bool operator>(const Event& other) const {
       if (fp::exact_ne(time, other.time)) return time > other.time;
@@ -165,6 +193,7 @@ class MultiEngine {
       return seq > other.seq;
     }
   };
+  static constexpr std::uint32_t kNoEventServer = 0xffffffffu;
 
   /// Records one trace event at `now_` (null check only when disabled).
   void trace(obs::TraceKind kind, JobId job, std::size_t server,
@@ -176,14 +205,21 @@ class MultiEngine {
     }
   }
 
-  void push_event(double time, EventType type, JobId job, std::size_t server,
-                  std::uint64_t epoch);
+  /// Pushes a live-admitted release or expiry onto the volatile heap.
+  void push_job_event(double time, EventType type, JobId job);
+  /// Seals the static side with every job's release and expiry (batch).
+  void seal();
+  /// Pops and processes one event (the body of every run loop).
+  void step_event();
   /// Accounts execution on every busy server up to time t.
   void advance_all(double t);
+  /// Bumps the server's dispatch epoch; a completion queued under the old
+  /// epoch is now dead (counted, and compacted once dead ones dominate).
+  void invalidate_completion(std::size_t server);
   /// Bookkeeping stop of the job on `server` (no callback).
   void halt_server(std::size_t server);
   void schedule_completion(std::size_t server);
-  /// Pops and dispatches one event (shared by replay and live mode).
+  /// Dispatches one event to its handler (shared by replay and live mode).
   void process_event(const Event& event);
   /// Copies outcome tables into result_ and closes the trace stream.
   void harvest();
@@ -194,17 +230,27 @@ class MultiEngine {
 
   double now_ = 0.0;
   double last_advance_ = 0.0;
-  std::vector<JobId> running_;          // per server
-  std::vector<std::uint64_t> epochs_;   // per server
-  std::vector<std::size_t> placement_;  // per job: server or kNoServer
+  // Per server.
+  std::vector<JobId> running_;
+  std::vector<std::uint64_t> epochs_;
+  /// 1 while a completion for the current epoch is queued.
+  std::vector<std::uint8_t> completion_queued_;
+  /// Monotone capacity cursors (mutable: amortized-O(1) const queries).
+  mutable std::vector<cap::CapacityProfile::Cursor> cursors_;
+  // Per job, dense by id.
+  std::vector<std::size_t> placement_;  // server or kNoServer
   std::vector<double> remaining_;
   std::vector<sim::JobOutcome> outcomes_;
-  std::vector<bool> released_;
+  std::vector<std::uint8_t> released_;
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  sim::EventQueue<Event> events_;
+  /// Completion events in the heap, live and dead: the compaction trigger's
+  /// population (releases/expiries excluded, so live and batch runs agree).
+  std::size_t queued_completions_ = 0;
   std::uint64_t next_seq_ = 0;
   bool in_callback_ = false;
   bool live_ = false;
+  std::size_t live_reserve_ = 0;  // reserve_live() dense pre-size (hint)
   obs::TraceSink* sink_ = nullptr;
   MultiSimResult result_;
 };

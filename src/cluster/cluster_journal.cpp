@@ -6,6 +6,7 @@
 #include "capacity/trace_io.hpp"
 #include "jobs/bundle.hpp"
 #include "jobs/instance.hpp"
+#include "util/cli.hpp"
 #include "util/logging.hpp"
 
 namespace sjs::cluster {
@@ -61,6 +62,44 @@ ClusterBundle load_cluster_bundle(const std::string& dir) {
   }
   bundle.cancels = serve::read_journal_cancels(dir);
   return bundle;
+}
+
+ReplaySettings replay_settings(
+    const std::map<std::string, std::string>& meta) {
+  ReplaySettings out;
+  // The whole field must parse ("1.5abc" is an error, not 1.5).
+  const auto field = [&](const char* key, const char* kind, auto parse) {
+    const std::string& text = meta.at(key);
+    try {
+      return parse(text);
+    } catch (const std::exception&) {
+      throw std::invalid_argument(std::string("meta.csv ") + key + " '" +
+                                  text + "' is not " + kind);
+    }
+  };
+  if (meta.count("sched_key")) {
+    out.dispatcher.key = meta.at("sched_key") == "density"
+                             ? cloud::GlobalKey::kValueDensity
+                             : cloud::GlobalKey::kDeadline;
+  }
+  if (meta.count("rental")) out.rental = meta.at("rental");
+  if (meta.count("budget")) {
+    out.dispatcher.budget =
+        field("budget", "a number",
+              [](const std::string& t) { return parse_double(t); });
+  }
+  if (meta.count("min_rented")) {
+    const std::int64_t n =
+        field("min_rented", "an integer",
+              [](const std::string& t) { return parse_int(t); });
+    if (n < 1) {
+      throw std::invalid_argument("meta.csv min_rented '" +
+                                  meta.at("min_rented") +
+                                  "' must be at least 1");
+    }
+    out.dispatcher.min_rented = static_cast<std::size_t>(n);
+  }
+  return out;
 }
 
 }  // namespace sjs::cluster

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "capacity/capacity_profile.hpp"
+#include "cluster/dispatcher.hpp"
 #include "cluster/fleet.hpp"
 #include "jobs/job.hpp"
 #include "serve/journal.hpp"
@@ -57,5 +58,19 @@ struct ClusterBundle {
 
 /// Loads a cluster journal directory. Throws on missing/malformed files.
 ClusterBundle load_cluster_bundle(const std::string& dir);
+
+/// The dispatcher settings a bundle's meta.csv records, as a replay needs
+/// them: sched_key, rental, budget and min_rented (absent keys keep their
+/// defaults).
+struct ReplaySettings {
+  DispatcherConfig dispatcher;
+  std::string rental = "static";
+};
+
+/// Reads ReplaySettings from meta.csv's key/value pairs. Throws
+/// std::invalid_argument naming the key unless the whole `budget` field is
+/// one number and the whole `min_rented` field one integer >= 1 ("1.5abc"
+/// is an error, not 1.5).
+ReplaySettings replay_settings(const std::map<std::string, std::string>& meta);
 
 }  // namespace sjs::cluster

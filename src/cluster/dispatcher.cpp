@@ -14,8 +14,7 @@ Dispatcher::Dispatcher(const Fleet& fleet, const DispatcherConfig& config,
   SJS_CHECK_MSG(config_.min_rented <= fleet.size(),
                 "min_rented exceeds the fleet");
   rented_.assign(fleet.size(), 0);
-  chosen_.assign(fleet.size(), kNoJob);
-  available_.assign(fleet.size(), 0);
+  placement_.resize(fleet.size());
 }
 
 std::string Dispatcher::name() const {
@@ -25,14 +24,6 @@ std::string Dispatcher::name() const {
   out += '/';
   out += rental_ ? rental_->name() : "static";
   return out;
-}
-
-double Dispatcher::priority(const cloud::MultiEngine& engine,
-                            JobId job) const {
-  const Job& j = engine.job(job);
-  // Lower is better; negate density so higher density sorts first.
-  return config_.key == cloud::GlobalKey::kDeadline ? j.deadline
-                                                    : -j.value_density();
 }
 
 void Dispatcher::accrue(double t) {
@@ -83,7 +74,7 @@ void Dispatcher::apply_rental(cloud::MultiEngine& engine) {
     std::size_t s = fleet_size;
     while (s > 0 && !rented_[s - 1]) --s;
     --s;
-    // Evict whatever runs there; the job stays live and re-queues in place().
+    // Evict whatever runs there; the job stays live and is re-placed below.
     if (engine.running_on(s) != kNoJob) engine.idle(s);
     rented_[s] = 0;
     --rented_count_;
@@ -94,74 +85,35 @@ void Dispatcher::apply_rental(cloud::MultiEngine& engine) {
                           static_cast<std::uint64_t>(rented_count_));
 }
 
-void Dispatcher::place(cloud::MultiEngine& engine) {
-  const std::size_t fleet_size = fleet_->size();
-
-  // Top-R live jobs by priority, R = rented machines.
-  std::size_t n = 0;
-  for (const auto& [prio, job] : live_) {
-    if (n == rented_count_) break;
-    chosen_[n++] = job;
-  }
-
-  // Assign in priority order: each winner takes the fastest still-available
-  // rented machine, staying put when its current machine ties the maximum
-  // (no gratuitous migration among equal machines).
-  for (std::size_t s = 0; s < fleet_size; ++s) available_[s] = rented_[s];
-  for (std::size_t i = 0; i < n; ++i) {
-    const JobId job = chosen_[i];
-    std::size_t best = cloud::kNoServer;
-    for (std::size_t s = 0; s < fleet_size; ++s) {
-      if (!available_[s]) continue;
-      if (best == cloud::kNoServer ||
-          engine.server_rate(s) > engine.server_rate(best)) {
-        best = s;
-      }
-    }
-    const std::size_t current = engine.server_of(job);
-    std::size_t target = best;
-    if (current != cloud::kNoServer && available_[current] &&
-        engine.server_rate(current) >= engine.server_rate(best)) {
-      target = current;
-    }
-    available_[target] = 0;
-    if (current != target) engine.run_on(target, job);
-  }
-  // Any remaining rented machine still executing a non-winner goes idle.
-  for (std::size_t s = 0; s < fleet_size; ++s) {
-    if (available_[s] && engine.running_on(s) != kNoJob) {
-      engine.idle(s);
-    }
-  }
-}
-
 void Dispatcher::handle_interrupt(cloud::MultiEngine& engine) {
   accrue(engine.now());
   apply_rental(engine);
-  place(engine);
+  // Top-R live jobs by priority, R = rented machines, on rented machines.
+  placement_.place(engine, live_, rented_count_, &rented_);
 }
 
 void Dispatcher::on_start(cloud::MultiEngine& engine) {
   SJS_CHECK_MSG(engine.server_count() == fleet_->size(),
                 "engine has " << engine.server_count() << " servers, fleet "
                               << fleet_->size());
+  live_.reserve(engine.job_capacity_hint());
   handle_interrupt(engine);
 }
 
 void Dispatcher::on_release(cloud::MultiEngine& engine, JobId job) {
-  live_.emplace(priority(engine, job), job);
+  live_.push(cloud::global_priority(config_.key, engine.job(job)), job);
   handle_interrupt(engine);
 }
 
 void Dispatcher::on_complete(cloud::MultiEngine& engine, JobId job,
                              std::size_t /*server*/) {
-  live_.erase({priority(engine, job), job});
+  live_.erase(job);
   handle_interrupt(engine);
 }
 
 void Dispatcher::on_expire(cloud::MultiEngine& engine, JobId job,
                            std::size_t /*server*/) {
-  live_.erase({priority(engine, job), job});
+  live_.erase(job);
   handle_interrupt(engine);
 }
 

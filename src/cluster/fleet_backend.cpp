@@ -28,10 +28,9 @@ serve::JobState FleetBackend::state(JobId id, double& remaining) const {
   return JobState::kQueued;
 }
 
-void FleetBackend::reserve(std::size_t /*in_flight*/, std::size_t jobs) {
-  // Every live table of the fleet engine is per admitted job.
+void FleetBackend::reserve(std::size_t in_flight, std::size_t jobs) {
   jobs_.reserve(jobs);
-  engine_.reserve_live(jobs);
+  engine_.reserve_live(in_flight, jobs);
 }
 
 void FleetBackend::finish(obs::MetricsRegistry::Shard* metrics) {

@@ -35,11 +35,10 @@ void Engine::rewind() {
   // The sealed static queue survives the rewind, for seal() to replay;
   // parking the cursor at its end keeps it out of pending_events() until
   // then.
-  static_cursor_ = static_events_.size();
+  events_.park_static();
   static_sealed_ = false;
-  heap_.clear();
+  events_.clear_volatile();
   next_seq_ = 0;
-  dead_events_ = 0;
   wheel_.clear();
   cursor_.reset();
   in_callback_ = false;
@@ -55,11 +54,9 @@ void Engine::push_event(double time, EventType type, JobId jid,
                     (live_ && (type == EventType::kRelease ||
                                type == EventType::kExpiry)),
                 "static-side events are laid out by seal(), not pushed");
-  const Event event{time, type, next_seq_++, jid, id};
   // Growth to the episode high-water only; reserve_live pre-sizes this for
   // the serve plane, so a warmed steady state never grows it.
-  util::append(heap_, event);
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+  events_.push(Event{time, type, next_seq_++, jid, id});
   result_.event_heap_peak = std::max<std::uint64_t>(
       result_.event_heap_peak, pending_events());
 }
@@ -75,19 +72,6 @@ void Engine::seal() {
   const bool cached = !live_ && batch_seal_cached_ && batch_seal_jobs_ == n &&
                       batch_seal_capacity_ == capacity;
   if (!cached) {
-    const std::uint64_t base = next_seq_;
-    const std::vector<Job>& jobs = instance_->jobs();
-    // Expiries are the one list that needs sorting: by deadline, ties by
-    // position, which is their seq order.
-    seal_expiries_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      util::append(seal_expiries_, SealKey{jobs[i].deadline, i});
-    }
-    std::sort(seal_expiries_.begin(), seal_expiries_.end(),
-              [](const SealKey& a, const SealKey& b) {
-                return fp::exact_ne(a.time, b.time) ? a.time < b.time
-                                                    : a.pos < b.pos;
-              });
     // Breakpoints ascend strictly. A live run takes all of them, as its
     // final deadline is unknown up front; the extras beyond the last
     // admitted deadline fire with no live jobs and change nothing, so
@@ -98,56 +82,42 @@ void Engine::seal() {
         !capacity ? bp
         : live_   ? bps.end()
                   : std::upper_bound(bp, bps.end(), instance_->max_deadline());
-    const std::size_t caps = static_cast<std::size_t>(bp_end - bp);
-    // Linear three-way merge. Releases already ascend with their seqs: the
-    // instance is release-sorted with ids = positions (jobs/instance.hpp),
-    // which also makes an expiry's position its job id. Each list holds one
-    // event type, so at equal times the type order alone decides: expiry,
-    // then capacity change, then release.
-    util::grow(static_events_, 2 * n + caps);
-    std::size_t r = 0;
-    std::size_t x = 0;
-    std::size_t c = 0;
-    for (Event& out : static_events_) {
-      const bool has_r = r < n;
-      const bool has_c = c < caps;
-      if (x < n && (!has_r || seal_expiries_[x].time <= jobs[r].release) &&
-          (!has_c || seal_expiries_[x].time <= bp[c])) {
-        const SealKey& key = seal_expiries_[x++];
-        out = Event{key.time, EventType::kExpiry, base + 2 * key.pos + 1,
-                    static_cast<JobId>(key.pos), 0};
-      } else if (has_c && (!has_r || bp[c] <= jobs[r].release)) {
-        out = Event{bp[c], EventType::kCapacityChange, base + 2 * n + c,
-                    kNoJob, 0};
-        ++c;
-      } else {
-        out = Event{jobs[r].release, EventType::kRelease, base + 2 * r,
-                    jobs[r].id, 0};
-        ++r;
-      }
-    }
+    // Releases, expiries and breakpoints merged into one layout; positions
+    // are job ids (jobs/instance.hpp canonical form).
+    events_.seal(instance_->jobs(), n, next_seq_,
+                 bps.data() + (bp - bps.begin()),
+                 static_cast<std::size_t>(bp_end - bp),
+                 [](SealKind kind, double time, std::uint64_t seq,
+                    std::size_t index) {
+                   switch (kind) {
+                     case SealKind::kExpiry:
+                       return Event{time, EventType::kExpiry, seq,
+                                    static_cast<JobId>(index), 0};
+                     case SealKind::kExtra:
+                       return Event{time, EventType::kCapacityChange, seq,
+                                    kNoJob, 0};
+                     case SealKind::kRelease:
+                       break;
+                   }
+                   return Event{time, EventType::kRelease, seq,
+                                static_cast<JobId>(index), 0};
+                 });
     batch_seal_cached_ = !live_;
     batch_seal_jobs_ = n;
     batch_seal_capacity_ = capacity;
   }
-  static_cursor_ = 0;
+  events_.rewind_static();
   static_sealed_ = true;
-  next_seq_ += static_events_.size();
+  next_seq_ += events_.static_size();
   result_.event_heap_peak = std::max<std::uint64_t>(
       result_.event_heap_peak, pending_events());
 }
 
 Engine::Event Engine::pop_event() {
-  // Three-way merge-pop: static cursor, completion heap, timer wheel —
-  // whichever front is smallest under Event's total order. The sides never
-  // tie: seq numbers are globally unique.
-  const bool has_static = static_cursor_ < static_events_.size();
-  const Event* best = has_static ? &static_events_[static_cursor_] : nullptr;
-  bool from_heap = false;
-  if (!heap_.empty() && (best == nullptr || *best > heap_.front())) {
-    best = &heap_.front();
-    from_heap = true;
-  }
+  // Three-way merge-pop: the queue's static/heap front against the timer
+  // wheel's — whichever is smallest under Event's total order. The sides
+  // never tie: seq numbers are globally unique.
+  const Event* best = events_.front();
   double wheel_time = 0.0;
   std::uint64_t wheel_seq = 0;
   if (wheel_.peek(wheel_time, wheel_seq)) {
@@ -164,24 +134,14 @@ Engine::Event Engine::pop_event() {
       return Event{fired.time, EventType::kTimer, fired.seq, fired.job, id};
     }
   }
-  if (from_heap) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
-    const Event event = heap_.back();
-    heap_.pop_back();
-    return event;
-  }
-  return static_events_[static_cursor_++];
+  return events_.take(best);
 }
 
 double Engine::peek_event_time() const {
-  // Only the minimum timestamp is needed here, and the three fronts carry
-  // exact (same-path) doubles, so a plain min over times matches the full
+  // Only the minimum timestamp is needed here, and the fronts carry exact
+  // (same-path) doubles, so a plain min over times matches the full
   // Event-order merge in pop_event.
-  double t = std::numeric_limits<double>::infinity();
-  if (static_cursor_ < static_events_.size()) {
-    t = static_events_[static_cursor_].time;
-  }
-  if (!heap_.empty()) t = std::min(t, heap_.front().time);
+  double t = events_.front_time();
   double wheel_time = 0.0;
   std::uint64_t wheel_seq = 0;
   if (wheel_.peek(wheel_time, wheel_seq)) t = std::min(t, wheel_time);
@@ -192,18 +152,14 @@ void Engine::maybe_compact_heap() {
   // The volatile side is the completion heap plus the wheel's queued nodes —
   // the same population the single pre-wheel heap held, so the trigger fires
   // at the same instants as before the split (digest-neutral by replication).
-  const std::size_t volatile_size = heap_.size() + wheel_.pending_count();
-  if (volatile_size < kCompactionMinEvents ||
-      dead_events_ * 2 <= volatile_size) {
+  if (!events_.compaction_due(events_.volatile_size() +
+                              wheel_.pending_count())) {
     return;
   }
-  std::erase_if(heap_, [&](const Event& e) {
-    if (e.type == EventType::kCompletion) return e.id != dispatch_epoch_;
-    return false;
+  events_.compact([&](const Event& e) {
+    return e.type == EventType::kCompletion && e.id != dispatch_epoch_;
   });
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
   wheel_.purge_dead();
-  dead_events_ = 0;
   ++result_.heap_compactions;
 }
 
@@ -257,9 +213,9 @@ void Engine::halt_running() {
   ++dispatch_epoch_;  // invalidates any in-flight completion event
   if (completion_pending_) {
     completion_pending_ = false;
-    ++dead_events_;
+    events_.mark_dead();
     result_.event_heap_dead_peak =
-        std::max<std::uint64_t>(result_.event_heap_dead_peak, dead_events_);
+        std::max<std::uint64_t>(result_.event_heap_dead_peak, events_.dead());
   }
 }
 
@@ -316,15 +272,15 @@ void Engine::cancel_timer(TimerId id) {
   // O(1): frees the slab slot; the queued node stays as a tombstone (stale
   // ids are a tolerated no-op; corrupted ids fail a check inside the wheel).
   if (!wheel_.cancel(id)) return;
-  ++dead_events_;  // its queued node is now dead weight
+  events_.mark_dead();  // its queued node is now dead weight
   result_.event_heap_dead_peak =
-      std::max<std::uint64_t>(result_.event_heap_dead_peak, dead_events_);
+      std::max<std::uint64_t>(result_.event_heap_dead_peak, events_.dead());
   maybe_compact_heap();
 }
 
 void Engine::handle_completion(const Event& event) {
   if (event.id != dispatch_epoch_ || event.job != running_) {  // stale
-    --dead_events_;  // counted when the preemption invalidated it
+    events_.drop_dead();  // counted when the preemption invalidated it
     return;
   }
   completion_pending_ = false;
@@ -372,7 +328,7 @@ void Engine::handle_timer(const Event& event) {
     // Cancelled before firing (a wheel tombstone): dead event, counted when
     // the cancel happened. Popping it still advanced the clock — the
     // digest-relevant side effect the tombstone exists to preserve.
-    --dead_events_;
+    events_.drop_dead();
     return;
   }
   // The slot was freed in pop_event; the id is already stale and the timer
@@ -574,9 +530,9 @@ void Engine::reserve_live(std::size_t max_in_flight, std::size_t jobs) {
   jobs_.reserve(dense);
   // Live releases/expiries go to the volatile heap: up to two events per
   // in-flight job, plus the running job's completion.
-  heap_.reserve(2 * max_in_flight + 1);
+  events_.reserve_volatile(2 * max_in_flight + 1);
   // The static side of a live run only takes capacity breakpoints.
-  static_events_.reserve(instance_->capacity().breakpoints().size());
+  events_.reserve_static(instance_->capacity().breakpoints().size());
   wheel_.reserve(max_in_flight);
   result_.completion_times.reserve(dense);
   result_.release_times.reserve(dense);

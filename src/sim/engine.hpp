@@ -30,6 +30,7 @@
 #include "capacity/capacity_profile.hpp"
 #include "jobs/instance.hpp"
 #include "obs/trace_sink.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/job_table.hpp"
 #include "sim/result.hpp"
 #include "sim/scheduler.hpp"
@@ -221,11 +222,10 @@ class Engine {
   /// Dead events currently queued on the volatile side (stale completions in
   /// the heap + cancelled-timer tombstones in the wheel); lazy compaction
   /// keeps this at most max(kCompactionMinEvents, half the volatile side).
-  std::size_t dead_event_count() const { return dead_events_; }
+  std::size_t dead_event_count() const { return events_.dead(); }
 
-  /// Compaction is skipped below this heap size: tiny heaps make the dead
-  /// fraction noisy and the O(n) pass isn't worth saving a few entries.
-  static constexpr std::size_t kCompactionMinEvents = 64;
+  /// Compaction is skipped below this volatile-side size (EventQueue).
+  static constexpr std::size_t kCompactionMinEvents = sim::kCompactionMinEvents;
 
   /// Scheduler annotation channel: records an obs::TraceKind::kNote event
   /// (code from obs::NoteCode, plus a free payload) so algorithm-internal
@@ -317,40 +317,21 @@ class Engine {
   JobTable jobs_;
 
   std::size_t pending_events() const {
-    return heap_.size() + (static_events_.size() - static_cursor_) +
-           wheel_.pending_count();
+    return events_.pending() + wheel_.pending_count();
   }
 
-  /// The event queue is split in two by churn profile; pop_event compares
-  /// the two fronts under the total order on Event (time, type, seq), so
-  /// the merged pop sequence is identical to a single queue's.
-  ///
-  /// Static side: releases, expiries, and capacity changes are all known at
-  /// run start and never cancelled — seal() lays them out in pop order once,
-  /// then consumption is a cursor walk (O(1) pops, no heap traffic).
-  std::vector<Event> static_events_;
-  std::size_t static_cursor_ = 0;
+  /// The shared static/volatile event queue (sim/event_queue.hpp): the
+  /// static side holds the sealed releases, expiries, and capacity changes;
+  /// the volatile heap holds completions (and, in live mode, the
+  /// late-arriving releases/expiries). Its dead count covers the whole
+  /// volatile side, wheel tombstones included.
+  EventQueue<Event> events_;
   bool static_sealed_ = false;
-  /// Cache key of the batch seal held in static_events_ (seal()).
+  /// Cache key of the batch seal held in events_' static side (seal()).
   bool batch_seal_cached_ = false;
   std::size_t batch_seal_jobs_ = 0;
   bool batch_seal_capacity_ = false;
-  /// seal()'s sort scratch: each expiry's time and job position, retained
-  /// across runs.
-  struct SealKey {
-    double time;
-    std::size_t pos;
-  };
-  std::vector<SealKey> seal_expiries_;
-
-  /// Volatile side, completions: a binary min-heap (std::push_heap/pop_heap
-  /// with greater<>) — an explicit container instead of std::priority_queue
-  /// so dead (stale-epoch) events can be purged in place; the total order on
-  /// Event makes compaction order-neutral. In live mode the heap also takes
-  /// the late-arriving release/expiry events.
-  std::vector<Event> heap_;
   std::uint64_t next_seq_ = 0;
-  std::size_t dead_events_ = 0;   // dead entries currently in heap_
 
   /// Volatile side, timers: the hierarchical wheel — amortized O(1)
   /// arm/cancel, pops in exact (time, seq) order (sim/timer_wheel.hpp).

@@ -7,18 +7,27 @@
 
 namespace sjs {
 
+double parse_double(const std::string& s) {
+  std::size_t pos = 0;
+  const double v = std::stod(s, &pos);
+  if (pos != s.size()) throw std::invalid_argument("not a number: " + s);
+  return v;
+}
+
+std::int64_t parse_int(const std::string& s) {
+  std::size_t pos = 0;
+  const long long v = std::stoll(s, &pos);
+  if (pos != s.size()) throw std::invalid_argument("not an integer: " + s);
+  return static_cast<std::int64_t>(v);
+}
+
 std::vector<double> parse_double_list(const std::string& s) {
   std::vector<double> out;
   std::stringstream ss(s);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    std::size_t pos = 0;
-    double v = std::stod(item, &pos);
-    if (pos != item.size()) {
-      throw std::invalid_argument("malformed number in list: " + item);
-    }
-    out.push_back(v);
+    out.push_back(parse_double(item));
   }
   return out;
 }
@@ -73,10 +82,10 @@ bool CliFlags::set_value(Flag& flag, const std::string& value) {
   try {
     switch (flag.type) {
       case Type::kDouble:
-        flag.d = std::stod(value);
+        flag.d = parse_double(value);
         return true;
       case Type::kInt:
-        flag.i = std::stoll(value);
+        flag.i = parse_int(value);
         return true;
       case Type::kBool:
         if (value == "true" || value == "1") {

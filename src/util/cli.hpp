@@ -68,6 +68,15 @@ class CliFlags {
   std::string error_;
 };
 
+/// Parses a whole string as one double (std::stod syntax). Throws
+/// std::invalid_argument unless every character is consumed, so "6abc" is an
+/// error rather than 6, and std::out_of_range on overflow.
+double parse_double(const std::string& s);
+
+/// Parses a whole string as one decimal integer; "3.7" and "1x" are errors.
+/// Same exceptions as parse_double.
+std::int64_t parse_int(const std::string& s);
+
 /// Parses a comma-separated list of doubles ("1,2.5,3"). Throws
 /// std::invalid_argument on malformed input.
 std::vector<double> parse_double_list(const std::string& s);

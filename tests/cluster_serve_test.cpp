@@ -25,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -294,13 +295,12 @@ TEST(ClusterServeTest, FakeClockSessionReplaysBitExactly) {
 
   // Replay through a fresh dispatcher + engine, exactly as
   // `sjs_sim --cluster-bundle=` does: identical outcomes.
-  sjs::cluster::DispatcherConfig dc;
-  dc.key = sjs::cloud::GlobalKey::kDeadline;
-  dc.budget = std::stod(bundle.meta.at("budget"));
-  dc.min_rented = std::stoul(bundle.meta.at("min_rented"));
+  const sjs::cluster::ReplaySettings settings =
+      sjs::cluster::replay_settings(bundle.meta);
+  EXPECT_EQ(settings.dispatcher.key, sjs::cloud::GlobalKey::kDeadline);
   sjs::cluster::Dispatcher dispatcher(
-      bundle.fleet, dc,
-      sjs::cluster::make_rental_controller(bundle.meta.at("rental")));
+      bundle.fleet, settings.dispatcher,
+      sjs::cluster::make_rental_controller(settings.rental));
   const sjs::cloud::MultiSimResult replay =
       sjs::cluster::run_cluster(bundle.jobs, bundle.paths, dispatcher);
   expect_bitwise_equal_outcomes(session.live, replay);
@@ -322,6 +322,44 @@ TEST(ClusterServeTest, FakeClockSessionReplaysBitExactly) {
                               bundle.jobs, replay_dir + "/outcomes.csv");
   EXPECT_FALSE(live_csv.empty());
   EXPECT_EQ(live_csv, slurp(replay_dir + "/outcomes.csv"));
+}
+
+TEST(ClusterServeTest, ReplaySettingsRejectPartialNumbers) {
+  std::map<std::string, std::string> meta = {{"sched_key", "density"},
+                                             {"rental", "load"},
+                                             {"budget", "1.5"},
+                                             {"min_rented", "2"}};
+  const sjs::cluster::ReplaySettings ok = sjs::cluster::replay_settings(meta);
+  EXPECT_EQ(ok.dispatcher.key, sjs::cloud::GlobalKey::kValueDensity);
+  EXPECT_EQ(ok.rental, "load");
+  EXPECT_EQ(ok.dispatcher.budget, 1.5);
+  EXPECT_EQ(ok.dispatcher.min_rented, 2u);
+
+  // A numeric prefix is not a value: each bad field is named.
+  const auto error_for = [](const std::map<std::string, std::string>& m) {
+    try {
+      sjs::cluster::replay_settings(m);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  for (const char* bad : {"1.5abc", "", "abc", "1.5 2"}) {
+    auto m = meta;
+    m["budget"] = bad;
+    EXPECT_NE(error_for(m).find("budget"), std::string::npos) << bad;
+  }
+  for (const char* bad : {"2x", "2.5", "0", "-1", ""}) {
+    auto m = meta;
+    m["min_rented"] = bad;
+    EXPECT_NE(error_for(m).find("min_rented"), std::string::npos) << bad;
+  }
+  // Absent keys keep the defaults.
+  const sjs::cluster::ReplaySettings defaults =
+      sjs::cluster::replay_settings({});
+  EXPECT_EQ(defaults.rental, "static");
+  EXPECT_EQ(defaults.dispatcher.budget, 0.0);
+  EXPECT_EQ(defaults.dispatcher.min_rented, 1u);
 }
 
 TEST(ClusterServeTest, ScriptedSessionIsDeterministicAcrossRuns) {

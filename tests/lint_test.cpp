@@ -88,6 +88,15 @@ TEST(LintTest, OrderedSetHotPathFiresOnDoubleKeyedSetsOnly) {
   EXPECT_NE(r.output.find("ReadyQueue"), std::string::npos) << r.output;
 }
 
+TEST(LintTest, OrderedSetHotPathCoversTheFleetEngine) {
+  // cloud/ and cluster/ hold the fleet engine's global schedulers: the
+  // pair<double, id> set fires; the integer set and the suppressed member
+  // stay silent.
+  const auto r = run_lint(fixture_args(fx("src/cloud/bad_ordered_set.cpp")));
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_EQ(count_findings(r.output, "ordered-set-hot-path"), 1) << r.output;
+}
+
 TEST(LintTest, BannedTimeFiresOnEverySource) {
   const auto r = run_lint(fixture_args(fx("src/sim/bad_time.cpp")));
   EXPECT_EQ(r.exit_code, 1);

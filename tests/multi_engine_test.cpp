@@ -5,12 +5,18 @@
 // feasible loads).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "capacity/capacity_process.hpp"
 #include "cloud/dispatch.hpp"
 #include "cloud/global_sched.hpp"
 #include "cloud/multi_engine.hpp"
+#include "jobs/instance.hpp"
 #include "jobs/workload_gen.hpp"
+#include "sched/edf.hpp"
 #include "sched/factory.hpp"
+#include "sim/engine.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -240,6 +246,107 @@ TEST_P(MultiEngineInvariants, ConservationUnderChaos) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiEngineInvariants, ::testing::Range(0, 6));
+
+// Stale completions are purged on a trigger that counts only queued
+// completions, so a live session — whose heap also holds every admitted
+// job's release and expiry — compacts at the same events as its batch
+// replay, and the two stay bit-identical although each purge drops the
+// execution-integral subdivisions the dead events would have made.
+TEST(MultiEngine, CompactionFiresAtTheSameEventsLiveAndBatch) {
+  Rng rng(4242);
+  gen::JobGenParams jp;
+  jp.lambda = 40.0;
+  jp.horizon = 30.0;
+  jp.slack_factor = 3.0;
+  const std::vector<Job> jobs = canonical(gen::generate_jobs(jp, rng));
+  const auto fleet = uniform_fleet(8, 1.0);
+
+  ChaosGlobalScheduler batch_chaos(7);
+  MultiEngine batch(jobs, fleet, batch_chaos);
+  const MultiSimResult expected = batch.run_to_completion();
+  ASSERT_GT(expected.heap_compactions, 0u);
+
+  std::vector<Job> admitted;
+  admitted.reserve(jobs.size());
+  ChaosGlobalScheduler live_chaos(7);
+  MultiEngine live(admitted, fleet, live_chaos);
+  live.begin_live();
+  for (const Job& j : jobs) {
+    live.advance_to(j.release);
+    admitted.push_back(j);
+    live.admit_live(j.id);
+  }
+  const MultiSimResult actual = live.finish_live();
+
+  EXPECT_EQ(actual.heap_compactions, expected.heap_compactions);
+  EXPECT_EQ(actual.dispatches, expected.dispatches);
+  ASSERT_EQ(actual.outcomes, expected.outcomes);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.completion_times[i]),
+              std::bit_cast<std::uint64_t>(expected.completion_times[i]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.executed_work[i]),
+              std::bit_cast<std::uint64_t>(expected.executed_work[i]));
+  }
+}
+
+// ------------------------------------------------------- K = 1 differential
+
+// One server: the fleet engine under Global-EDF and sim::Engine under EDF
+// pick the same job at every interrupt (the earliest deadline; random
+// deadlines never tie) and pop the same releases, expiries and completions
+// in the same order, so every execution integral is subdivided at the same
+// instants. Outcomes, completion instants and executed work must therefore
+// agree bit for bit — no ulp tolerance. Overloaded instances with a
+// piecewise (two-state Markov) capacity path exercise preemption, expiry of
+// running and queued jobs, and completions clamped onto deadlines.
+class SingleServerDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(SingleServerDifferential, GlobalEdfMatchesSimEdfBitForBit) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 27000);
+  gen::JobGenParams jp;
+  jp.lambda = 3.0 + 4.0 * rng.uniform01();
+  jp.horizon = 60.0;
+  jp.slack_factor = 1.0 + 2.0 * rng.uniform01();
+  std::vector<Job> jobs = canonical(gen::generate_jobs(jp, rng));
+  double cover = jp.horizon;
+  for (const Job& j : jobs) cover = std::max(cover, j.deadline);
+  cap::TwoStateMarkovParams cp;
+  cp.c_lo = 1.0;
+  cp.c_hi = 4.0;
+  cp.mean_sojourn_lo = cp.mean_sojourn_hi = 2.0;
+  const cap::CapacityProfile path = cap::sample_two_state_markov(cp, cover, rng);
+  ASSERT_GT(path.segments(), 4u);
+
+  const Instance instance(jobs, path);
+  sched::EdfScheduler edf;
+  sim::Engine single(instance, edf);
+  const sim::SimResult expected = single.run_to_completion();
+
+  GlobalKeyScheduler global(GlobalKey::kDeadline);
+  MultiEngine fleet(instance.jobs(), {path}, global);
+  const MultiSimResult actual = fleet.run_to_completion();
+
+  ASSERT_EQ(actual.outcomes.size(), expected.outcomes.size());
+  ASSERT_GT(expected.preemptions, 0u);
+  ASSERT_GT(expected.expired_count, 0u);
+  EXPECT_EQ(actual.completed_count, expected.completed_count);
+  EXPECT_EQ(actual.expired_count, expected.expired_count);
+  EXPECT_EQ(actual.dispatches, expected.dispatches);
+  EXPECT_EQ(actual.preemptions, expected.preemptions);
+  for (std::size_t i = 0; i < expected.outcomes.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(actual.outcomes[i], expected.outcomes[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.completion_times[i]),
+              std::bit_cast<std::uint64_t>(expected.completion_times[i]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.executed_work[i]),
+              std::bit_cast<std::uint64_t>(expected.executed_work[i]));
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.completed_value),
+            std::bit_cast<std::uint64_t>(expected.completed_value));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SingleServerDifferential,
+                         ::testing::Range(0, 8));
 
 // ------------------------------------------------------------- dominance
 

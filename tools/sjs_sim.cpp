@@ -57,24 +57,15 @@ int run_cluster_replay(const std::string& dir, const std::string& outcomes_csv) 
     std::fprintf(stderr, "failed to load cluster bundle: %s\n", e.what());
     return 1;
   }
-  sjs::cluster::DispatcherConfig dc;
-  std::string rental = "static";
+  sjs::cluster::ReplaySettings settings;
   try {
-    const auto& meta = bundle.meta;
-    if (meta.count("sched_key")) {
-      dc.key = meta.at("sched_key") == "density"
-                   ? sjs::cloud::GlobalKey::kValueDensity
-                   : sjs::cloud::GlobalKey::kDeadline;
-    }
-    if (meta.count("rental")) rental = meta.at("rental");
-    if (meta.count("budget")) dc.budget = std::stod(meta.at("budget"));
-    if (meta.count("min_rented")) {
-      dc.min_rented = static_cast<std::size_t>(std::stoul(meta.at("min_rented")));
-    }
+    settings = sjs::cluster::replay_settings(bundle.meta);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "malformed cluster bundle meta: %s\n", e.what());
     return 1;
   }
+  const sjs::cluster::DispatcherConfig& dc = settings.dispatcher;
+  const std::string& rental = settings.rental;
   std::printf("cluster bundle: %zu jobs, fleet of %zu, band [%g, %g], "
               "key=%s rental=%s budget=%g min_rented=%zu\n",
               bundle.jobs.size(), bundle.fleet.size(),
