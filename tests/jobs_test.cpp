@@ -263,7 +263,9 @@ TEST(WorkloadGen, ReleasesWithinHorizonAndSorted) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_GE(jobs[i].release, 0.0);
     EXPECT_LT(jobs[i].release, 100.0);
-    if (i) EXPECT_GE(jobs[i].release, jobs[i - 1].release);
+    if (i) {
+      EXPECT_GE(jobs[i].release, jobs[i - 1].release);
+    }
   }
 }
 
@@ -391,7 +393,9 @@ TEST(MmppGen, ReleasesSortedWithinHorizon) {
   ASSERT_FALSE(jobs.empty());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_LT(jobs[i].release, 200.0);
-    if (i) EXPECT_GE(jobs[i].release, jobs[i - 1].release);
+    if (i) {
+      EXPECT_GE(jobs[i].release, jobs[i - 1].release);
+    }
     EXPECT_TRUE(jobs[i].valid());
   }
 }
