@@ -1,24 +1,19 @@
 #!/usr/bin/env bash
-# Captures the micro-benchmark baseline into BENCH_micro.json at the repo
-# root. Run it before and after a hot-path change and diff the numbers;
-# the committed file is the reference the next optimisation PR compares
-# against.
+# CI smoke run of the micro-benchmarks: builds bench_micro in a Release tree
+# and runs the engine, capacity, ready-queue and live-steady-state rows with
+# a tiny min_time, leaving the JSON at build/bench_micro_smoke.json for the
+# CI artifact (never committed). It checks that the benches build and run;
+# its numbers are not a baseline (docs/performance.md withdraws single
+# captures — compare alternating parent/change pairs instead).
 #
 # Usage:
-#   scripts/bench_baseline.sh             # full capture (~1 min)
-#   SMOKE=1 scripts/bench_baseline.sh     # CI smoke: tiny min_time, engine +
-#                                         # capacity benches only; JSON kept
-#                                         # at build/bench_micro_smoke.json
-#                                         # for the CI artifact, never
-#                                         # committed
-#   BUILD_DIR=build-foo scripts/bench_baseline.sh   # bench a specific tree
+#   SMOKE=1 scripts/bench_baseline.sh
+#   SMOKE=1 BUILD_DIR=build-foo scripts/bench_baseline.sh   # a specific tree
 #
-# The script refuses to produce numbers from anything but a plain Release
-# tree: benchmarking a Debug/RelWithDebInfo or sanitizer build silently
-# understates the hot paths by integer factors, and a baseline captured that
-# way poisons every comparison made against it. It also warns when the
-# machine is already busy (1-minute load average), since a loaded box skews
-# single-threaded wall-clock benches.
+# The script refuses to run on anything but a plain Release tree:
+# benchmarking a Debug/RelWithDebInfo or sanitizer build silently
+# understates the hot paths by integer factors. It also warns when the
+# machine is already busy (1-minute load average).
 #
 # Note: --benchmark_min_time is passed as a plain double (not "0.2s") for
 # compatibility with older google-benchmark releases that reject the
@@ -27,6 +22,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
+
+if [[ "${SMOKE:-0}" != "1" ]]; then
+  echo "error: only the smoke run remains (SMOKE=1); single baseline captures" >&2
+  echo "       are withdrawn — see docs/performance.md." >&2
+  exit 2
+fi
 
 # Release-only gate. For a pre-existing tree, inspect the cache BEFORE
 # running cmake on it: re-configuring with -DCMAKE_BUILD_TYPE=Release would
@@ -71,24 +72,16 @@ fi
 
 cmake --build "${BUILD_DIR}" --target bench_micro
 
-if [[ "${SMOKE:-0}" == "1" ]]; then
-  out="${BUILD_DIR}/bench_micro_smoke.json"
-  # The BM_Engine prefix deliberately covers the timer-wheel benches too
-  # (BM_EngineTimerChurn, BM_EngineTimerOccupancy) so every CI run leaves an
-  # inspectable wheel-vs-heap datapoint in the artifact. BM_LiveSteadyState
-  # rides along so each CI artifact also records allocs_per_op for the warmed
-  # live session (must be 0; it runs a fixed iteration count, so min_time
-  # does not shorten it).
-  "./${BUILD_DIR}/bench/bench_micro" \
-    --benchmark_filter='BM_Capacity|BM_Engine|BM_FullSimulation|BM_LiveSteadyState|BM_ReadyQueue' \
-    --benchmark_min_time=0.01 \
-    --benchmark_format=json \
-    --benchmark_out="${out}"
-  echo "smoke run ok (json at ${out}, uploaded as a CI artifact, not committed)"
-else
-  "./${BUILD_DIR}/bench/bench_micro" \
-    --benchmark_min_time=0.2 \
-    --benchmark_format=json \
-    --benchmark_out=BENCH_micro.json
-  echo "baseline written to BENCH_micro.json"
-fi
+out="${BUILD_DIR}/bench_micro_smoke.json"
+# The BM_Engine prefix deliberately covers the timer-wheel benches too
+# (BM_EngineTimerChurn, BM_EngineTimerOccupancy) so every CI run leaves an
+# inspectable wheel-vs-heap datapoint in the artifact. BM_LiveSteadyState
+# rides along so each CI artifact also records allocs_per_op for the warmed
+# live session (must be 0; it runs a fixed iteration count, so min_time
+# does not shorten it).
+"./${BUILD_DIR}/bench/bench_micro" \
+  --benchmark_filter='BM_Capacity|BM_Engine|BM_FullSimulation|BM_LiveSteadyState|BM_ReadyQueue' \
+  --benchmark_min_time=0.01 \
+  --benchmark_format=json \
+  --benchmark_out="${out}"
+echo "smoke run ok (json at ${out}, uploaded as a CI artifact, not committed)"

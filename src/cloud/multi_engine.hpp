@@ -10,27 +10,19 @@
 // A job occupies at most one server at a time (no intra-job parallelism —
 // these are VMs).
 //
-// The engine mirrors sim::Engine's guarantees: exact completion instants per
-// server via cumulative-work inversion, deterministic event ordering
-// (Completion < Expiry < Release, FIFO within class), lazy invalidation via
-// per-server dispatch epochs, and online information hiding.
-//
-// Events run through the same queue core as sim::Engine
-// (sim/event_queue.hpp). A batch run seals the n releases and n expiries
-// once, by merge (releases already ascend; only the expiries are sorted),
-// with the seqs a push-everything queue would assign (release 2i, expiry
-// 2i+1), and consumes them with a cursor. The volatile heap holds only the
-// completions — plus, in live mode, the releases and expiries of admitted
-// jobs. The pop merges the two fronts under the (time, type, seq) order, so
-// the event sequence, and every outcome byte, equals a single queue's.
-// Completions invalidated by a preemption or migration are counted dead and
-// purged once they outnumber the live ones among the queued completions —
-// a trigger that depends only on the dispatch history, so a live session
-// and its replay compact at the same instants. Per-server rate/work/invert
-// go through one monotone cap::CapacityProfile::Cursor per server.
+// The execution model — per-server running job, dispatch epoch and capacity
+// cursor, per-job remaining/outcome/released, the (time, type, seq) event
+// queue with its sealed static side, exact completion instants by
+// cumulative-work inversion clamped onto deadlines, and the live-mode shell
+// — is sim::ExecCore (sim/exec_core.hpp), the same core sim::Engine holds
+// with one server. This class adds the GlobalScheduler hooks, job placement
+// and migration, and its own compaction trigger: completions invalidated by
+// a preemption or migration are purged once they outnumber the live ones
+// among the queued completions — a trigger that depends only on the
+// dispatch history, so a live session (whose heap also holds every admitted
+// job's release and expiry) and its replay compact at the same instants.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,9 +30,8 @@
 #include "capacity/capacity_profile.hpp"
 #include "jobs/job.hpp"
 #include "obs/trace_sink.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/exec_core.hpp"
 #include "sim/result.hpp"
-#include "util/fp.hpp"
 
 namespace sjs::cloud {
 
@@ -91,7 +82,7 @@ struct MultiSimResult {
   }
 };
 
-class MultiEngine {
+class MultiEngine final : private sim::ExecCore::Host {
  public:
   /// Jobs must be release-sorted with ids equal to their positions (the
   /// Instance canonical form); servers must be non-empty. Neither the jobs
@@ -105,7 +96,7 @@ class MultiEngine {
 
   MultiSimResult run_to_completion();
 
-  // --- live mode (real-time admission serving; mirrors sim::Engine) ---
+  // --- live mode (real-time admission serving; ExecCore's shell) ---
   /// Enters live mode: no pre-loaded events beyond jobs already present in
   /// the backing vector (a warm-started fleet behaves like its replay).
   void begin_live();
@@ -117,28 +108,27 @@ class MultiEngine {
   void reserve_live(std::size_t max_in_flight, std::size_t jobs = 0);
   /// What a scheduler should size its per-job structures for in on_start():
   /// the job count on batch runs, the reserve_live() pre-size when live.
-  std::size_t job_capacity_hint() const {
-    return std::max(job_count(), live_reserve_);
-  }
+  std::size_t job_capacity_hint() const { return core_.job_capacity_hint(); }
   /// Registers the job at `id` (must already be appended to the backing jobs
   /// vector, dense id == position, release >= now). Pushes its release and
   /// expiry events exactly as replay does, so relative event order — and
   /// therefore every outcome byte — matches the replayed session.
   void admit_live(JobId id);
-  /// Force-expires a live job at the current instant. Subdivides the running
-  /// job's execution integral at now(), so cancel-bearing sessions are
-  /// excluded from the bit-exact replay guarantee (same caveat as
-  /// sim::Engine::cancel_live).
-  bool cancel_live(JobId id);
+  /// Force-expires an admitted pending job at the current instant (same
+  /// contract as sim::Engine::cancel_live, including a job withdrawn before
+  /// its release, which never reaches the scheduler).
+  bool cancel_live(JobId id) { return core_.cancel_live(id); }
   /// Processes every event strictly before t, then moves the clock to t.
   /// Execution integrals are subdivided at event times only, exactly as
   /// replay subdivides them, or remaining workloads drift by ulps.
-  void advance_to(double t);
+  void advance_to(double t) { core_.advance_to(t); }
   /// Time of the earliest pending event, or +inf when idle.
-  double next_event_time() const;
+  double next_event_time() const override {
+    return core_.queue().front_time();
+  }
   /// Drains all pending events and harvests the result.
   const MultiSimResult& finish_live();
-  bool live_mode() const { return live_; }
+  bool live_mode() const { return core_.live(); }
   /// Outcome of an admitted job (pending/completed/expired).
   sim::JobOutcome outcome(JobId id) const;
 
@@ -149,14 +139,14 @@ class MultiEngine {
   bool trace_enabled() const { return sink_ != nullptr; }
 
   // --- query surface (online-observable) ---
-  double now() const { return now_; }
-  std::size_t server_count() const { return servers_.size(); }
+  double now() const { return core_.now(); }
+  std::size_t server_count() const { return core_.server_count(); }
   double server_rate(std::size_t server) const;
-  const Job& job(JobId id) const { return (*jobs_)[static_cast<std::size_t>(id)]; }
-  std::size_t job_count() const { return jobs_->size(); }
-  double remaining(JobId id) const;
-  bool is_live(JobId id) const;
-  bool is_released(JobId id) const;
+  const Job& job(JobId id) const { return core_.job(id); }
+  std::size_t job_count() const { return core_.job_count(); }
+  double remaining(JobId id) const { return core_.released_remaining(id); }
+  bool is_live(JobId id) const { return core_.is_live(id); }
+  bool is_released(JobId id) const { return core_.is_released(id); }
   /// Server currently executing `id`, or kNoServer.
   std::size_t server_of(JobId id) const;
   /// Job running on `server`, or kNoJob.
@@ -173,84 +163,43 @@ class MultiEngine {
   void stop(JobId id);
 
  private:
-  enum class EventType : std::uint8_t {
-    kCompletion = 0,
-    kExpiry = 1,
-    kRelease = 2,
-  };
+  using Event = sim::ExecCore::Event;
+  using EventType = sim::ExecCore::EventType;
 
-  struct Event {
-    double time;
-    std::uint64_t seq;
-    JobId job;
-    std::uint64_t epoch;   ///< dispatch epoch of `server` (completions)
-    std::uint32_t server;  ///< kNoEventServer unless a completion
-    EventType type;
-
-    bool operator>(const Event& other) const {
-      if (fp::exact_ne(time, other.time)) return time > other.time;
-      if (type != other.type) return type > other.type;
-      return seq > other.seq;
-    }
-  };
-  static constexpr std::uint32_t kNoEventServer = 0xffffffffu;
-
-  /// Records one trace event at `now_` (null check only when disabled).
+  /// Records one trace event at now() (null check only when disabled).
   void trace(obs::TraceKind kind, JobId job, std::size_t server,
              double a = 0.0, double b = 0.0) {
     if (sink_) {
       sink_->record(obs::TraceEvent{
-          now_, kind, job,
+          now(), kind, job,
           server == kNoServer ? -1 : static_cast<std::int32_t>(server), a, b});
     }
   }
 
-  /// Pushes a live-admitted release or expiry onto the volatile heap.
-  void push_job_event(double time, EventType type, JobId job);
-  /// Seals the static side with every job's release and expiry (batch).
-  void seal();
+  /// Resets the result for a run (batch or live).
+  void start_run();
+  /// Raises kRunStart and the scheduler's on_start.
+  void announce_start();
   /// Pops and processes one event (the body of every run loop).
-  void step_event();
-  /// Accounts execution on every busy server up to time t.
-  void advance_all(double t);
-  /// Bumps the server's dispatch epoch; a completion queued under the old
-  /// epoch is now dead (counted, and compacted once dead ones dominate).
-  void invalidate_completion(std::size_t server);
-  /// Bookkeeping stop of the job on `server` (no callback).
-  void halt_server(std::size_t server);
-  void schedule_completion(std::size_t server);
+  bool step_event() override;
   /// Dispatches one event to its handler (shared by replay and live mode).
-  void process_event(const Event& event);
+  void process_event(const Event& event) override;
+  /// Idles `server` (no callback); a completion it kills is counted dead,
+  /// and purged once dead ones dominate the queued completions.
+  void halt_server(std::size_t server);
+  /// Preemption accounting for the job about to leave `server`.
+  void note_preempt(std::size_t server);
   /// Copies outcome tables into result_ and closes the trace stream.
   void harvest();
 
-  const std::vector<Job>* jobs_;
   std::vector<cap::CapacityProfile> servers_;
   GlobalScheduler* scheduler_;
-
-  double now_ = 0.0;
-  double last_advance_ = 0.0;
-  // Per server.
-  std::vector<JobId> running_;
-  std::vector<std::uint64_t> epochs_;
-  /// 1 while a completion for the current epoch is queued.
-  std::vector<std::uint8_t> completion_queued_;
-  /// Monotone capacity cursors (mutable: amortized-O(1) const queries).
-  mutable std::vector<cap::CapacityProfile::Cursor> cursors_;
-  // Per job, dense by id.
-  std::vector<std::size_t> placement_;  // server or kNoServer
-  std::vector<double> remaining_;
-  std::vector<sim::JobOutcome> outcomes_;
-  std::vector<std::uint8_t> released_;
-
-  sim::EventQueue<Event> events_;
+  sim::ExecCore core_;
+  /// Per job, dense by id: the server running it, or kNoServer.
+  std::vector<std::size_t> placement_;
   /// Completion events in the heap, live and dead: the compaction trigger's
   /// population (releases/expiries excluded, so live and batch runs agree).
   std::size_t queued_completions_ = 0;
-  std::uint64_t next_seq_ = 0;
-  bool in_callback_ = false;
-  bool live_ = false;
-  std::size_t live_reserve_ = 0;  // reserve_live() dense pre-size (hint)
   obs::TraceSink* sink_ = nullptr;
   MultiSimResult result_;
 };

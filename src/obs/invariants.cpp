@@ -11,7 +11,7 @@
 namespace sjs::obs {
 
 namespace {
-// Matches the engine's deadline tolerance (sim/engine.cpp): completion
+// Matches the engines' deadline tolerance (sim/exec_core.hpp): completion
 // instants are exact, deadlines computed independently; within an ulp-scale
 // band the two may disagree.
 double deadline_eps(double deadline) {

@@ -91,11 +91,15 @@ LoadReport run_load(const LoadGenConfig& config, Clock& clock) {
     return n;
   };
   const auto settled = [&] {
-    // drain acked, every completion resolved, every queued byte flushed.
+    // drain acked, every submit answered, every completion resolved, every
+    // queued byte flushed.
     if (!report.drain_acked) return false;
     for (const Conn& c : conns) {
       if (c.closed) continue;
-      if (!c.by_ticket.empty() || c.opos != c.obuf.size()) return false;
+      if (!c.by_seq.empty() || !c.by_ticket.empty() ||
+          c.opos != c.obuf.size()) {
+        return false;
+      }
     }
     return true;
   };
@@ -260,12 +264,16 @@ LoadReport run_load(const LoadGenConfig& config, Clock& clock) {
   std::vector<std::vector<double>> ack_samples;
   std::vector<std::vector<double>> done_samples;
   for (Conn& c : conns) {
+    // Submits still awaiting an ack at hard_end (or on a closed connection)
+    // are lost, so the accounting closes.
+    c.report.lost = c.by_seq.size();
     c.report.ack_latency = summarize(c.ack_lat);
     c.report.completion_latency = summarize(c.done_lat);
     report.submitted += c.report.submitted;
     report.accepted += c.report.accepted;
     report.rejected += c.report.rejected;
     report.shed += c.report.shed;
+    report.lost += c.report.lost;
     report.completed += c.report.completed;
     report.expired += c.report.expired;
     ack_samples.push_back(std::move(c.ack_lat));
@@ -304,7 +312,8 @@ std::string LoadReport::to_string() const {
   std::ostringstream os;
   os << "submitted " << submitted << " (value " << submitted_value << "), "
      << "accepted " << accepted << ", rejected " << rejected << ", shed "
-     << shed << ", completed " << completed << ", expired " << expired
+     << shed << ", lost " << lost << ", completed " << completed
+     << ", expired " << expired
      << "\ncaptured value: " << completed_value << "/" << admitted_value
      << " admitted (" << captured_fraction() * 100.0 << "%)";
   if (ack_latency.count > 0) {
@@ -322,7 +331,8 @@ std::string LoadReport::to_string() const {
       const ConnReport& c = connections[i];
       os << "\nconn " << i << ": submitted " << c.submitted << ", accepted "
          << c.accepted << ", rejected " << c.rejected << ", shed " << c.shed
-         << ", completed " << c.completed << ", expired " << c.expired;
+         << ", lost " << c.lost << ", completed " << c.completed
+         << ", expired " << c.expired;
       append_latencies(os, "  ack latency", c.ack_latency);
       append_latencies(os, "  completion latency", c.completion_latency);
     }

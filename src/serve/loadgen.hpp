@@ -41,17 +41,21 @@ struct ConnReport {
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t shed = 0;
+  std::uint64_t lost = 0;  ///< submits never answered before the run ended
   std::uint64_t completed = 0;
   std::uint64_t expired = 0;
   Summary ack_latency;
   Summary completion_latency;
 };
 
+/// The submit accounting closes: submitted == accepted + rejected + shed +
+/// lost.
 struct LoadReport {
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t shed = 0;
+  std::uint64_t lost = 0;  ///< submits never answered before the run ended
   std::uint64_t completed = 0;
   std::uint64_t expired = 0;
   double submitted_value = 0.0;

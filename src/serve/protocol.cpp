@@ -1,7 +1,10 @@
 #include "serve/protocol.hpp"
 
 #include <bit>
+#include <cstddef>
 #include <cstring>
+
+#include "util/vec.hpp"
 
 namespace sjs::serve {
 
@@ -151,11 +154,13 @@ std::size_t encode_frame_into(std::uint8_t* out, const Message& m) {
 }
 
 void append_frame(std::vector<std::uint8_t>& out, const Message& m) {
-  std::uint8_t buf[kMaxFrame];
-  const std::size_t n = encode_frame_into(buf, m);
-  // insert() grows to the send-buffer high-water; per-message steady state
-  // reuses retained capacity.
-  out.insert(out.end(), buf, buf + n);
+  // Encodes straight into the tail: room for the largest frame, then trim
+  // to what was written. The growth is to the send-buffer high-water;
+  // per-message steady state reuses retained capacity.
+  const std::size_t old = out.size();
+  util::grow(out, old + kMaxFrame);
+  const std::size_t n = encode_frame_into(out.data() + old, m);
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(old + n), out.end());
 }
 
 std::vector<std::uint8_t> encode_frame(const Message& m) {

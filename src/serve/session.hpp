@@ -513,9 +513,8 @@ class Session {
       const Route& route = routes_[id];
       if (route.cancelled) {
         // The client already got kCancelled (the forced expiry is internal),
-        // or ERROR for an admission withdrawn by a failed commit — which
-        // the engine may still run to completion, since it cannot cancel a
-        // job before its release event.
+        // or ERROR for an admission withdrawn by a failed commit, whose job
+        // the engine expired at once, before its release.
         --stats_.in_flight;
         continue;
       }

@@ -1,12 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
-#include "sim/deadline_tolerance.hpp"
 #include "util/logging.hpp"
-#include "util/fp.hpp"
 #include "util/vec.hpp"
 
 namespace sjs::sim {
@@ -14,7 +11,7 @@ namespace sjs::sim {
 Engine::Engine(const Instance& instance, Scheduler& scheduler)
     : instance_(&instance),
       scheduler_(&scheduler),
-      cursor_(instance.capacity()) {
+      core_(*this, instance.jobs(), &instance.capacity(), 1) {
   rewind();
 }
 
@@ -24,105 +21,52 @@ void Engine::reset(Scheduler& scheduler) {
 }
 
 void Engine::rewind() {
-  now_ = 0.0;
-  last_advance_ = 0.0;
-  running_ = kNoJob;
-  dispatch_epoch_ = 0;
-  completion_pending_ = false;
-
-  jobs_.bind_dense(instance_->jobs());
-
-  // The sealed static queue survives the rewind, for seal() to replay;
-  // parking the cursor at its end keeps it out of pending_events() until
-  // then.
-  events_.park_static();
+  core_.rewind();
+  jobs_.bind_dense(instance_->size());
   static_sealed_ = false;
-  events_.clear_volatile();
-  next_seq_ = 0;
   wheel_.clear();
-  cursor_.reset();
-  in_callback_ = false;
-  live_ = false;
-}
-
-void Engine::push_event(double time, EventType type, JobId jid,
-                        std::uint64_t id) {
-  // Live-admitted releases/expiries arrive after the static side was sealed,
-  // so they use the heap; side placement never changes the merged pop order
-  // (pop_event compares fronts under the total order on Event).
-  SJS_CHECK_MSG(type == EventType::kCompletion ||
-                    (live_ && (type == EventType::kRelease ||
-                               type == EventType::kExpiry)),
-                "static-side events are laid out by seal(), not pushed");
-  // Growth to the episode high-water only; reserve_live pre-sizes this for
-  // the serve plane, so a warmed steady state never grows it.
-  events_.push(Event{time, type, next_seq_++, jid, id});
-  result_.event_heap_peak = std::max<std::uint64_t>(
-      result_.event_heap_peak, pending_events());
 }
 
 void Engine::seal() {
   SJS_CHECK_MSG(!static_sealed_,
                 "static event queue sealed twice without a reset");
   const bool capacity = scheduler_->wants_capacity_events();
-  const std::size_t n = live_ ? 0 : instance_->size();
+  const bool live = core_.live();
+  const std::size_t n = live ? 0 : instance_->size();
   // The instance is append-only and its capacity path fixed, so a batch
   // seal is determined by the job count and the capacity subscription. A
   // batch seal starts at seq 0, so a cached one replays with its own seqs.
-  const bool cached = !live_ && batch_seal_cached_ && batch_seal_jobs_ == n &&
+  const bool cached = !live && batch_seal_cached_ && batch_seal_jobs_ == n &&
                       batch_seal_capacity_ == capacity;
-  if (!cached) {
-    // Breakpoints ascend strictly. A live run takes all of them, as its
-    // final deadline is unknown up front; the extras beyond the last
-    // admitted deadline fire with no live jobs and change nothing, so
-    // outcome equality with replay is unaffected.
-    const std::vector<double>& bps = instance_->capacity().breakpoints();
-    const auto bp = std::upper_bound(bps.begin(), bps.end(), 0.0);
-    const auto bp_end =
-        !capacity ? bp
-        : live_   ? bps.end()
-                  : std::upper_bound(bp, bps.end(), instance_->max_deadline());
-    // Releases, expiries and breakpoints merged into one layout; positions
-    // are job ids (jobs/instance.hpp canonical form).
-    events_.seal(instance_->jobs(), n, next_seq_,
-                 bps.data() + (bp - bps.begin()),
-                 static_cast<std::size_t>(bp_end - bp),
-                 [](SealKind kind, double time, std::uint64_t seq,
-                    std::size_t index) {
-                   switch (kind) {
-                     case SealKind::kExpiry:
-                       return Event{time, EventType::kExpiry, seq,
-                                    static_cast<JobId>(index), 0};
-                     case SealKind::kExtra:
-                       return Event{time, EventType::kCapacityChange, seq,
-                                    kNoJob, 0};
-                     case SealKind::kRelease:
-                       break;
-                   }
-                   return Event{time, EventType::kRelease, seq,
-                                static_cast<JobId>(index), 0};
-                 });
-    batch_seal_cached_ = !live_;
-    batch_seal_jobs_ = n;
-    batch_seal_capacity_ = capacity;
-  }
-  events_.rewind_static();
+  // Breakpoints ascend strictly. A live run takes all of them, as its final
+  // deadline is unknown up front; the extras beyond the last admitted
+  // deadline fire with no live jobs and change nothing, so outcome equality
+  // with replay is unaffected.
+  const std::vector<double>& bps = instance_->capacity().breakpoints();
+  const auto bp = std::upper_bound(bps.begin(), bps.end(), 0.0);
+  const auto bp_end =
+      !capacity ? bp
+      : live    ? bps.end()
+                : std::upper_bound(bp, bps.end(), instance_->max_deadline());
+  core_.seal(n, bps.data() + (bp - bps.begin()),
+             static_cast<std::size_t>(bp_end - bp), !cached);
+  batch_seal_cached_ = !live;
+  batch_seal_jobs_ = n;
+  batch_seal_capacity_ = capacity;
   static_sealed_ = true;
-  next_seq_ += events_.static_size();
-  result_.event_heap_peak = std::max<std::uint64_t>(
-      result_.event_heap_peak, pending_events());
+  note_queue_peak();
 }
 
 Engine::Event Engine::pop_event() {
   // Three-way merge-pop: the queue's static/heap front against the timer
   // wheel's — whichever is smallest under Event's total order. The sides
   // never tie: seq numbers are globally unique.
-  const Event* best = events_.front();
+  const Event* best = core_.queue().front();
   double wheel_time = 0.0;
   std::uint64_t wheel_seq = 0;
   if (wheel_.peek(wheel_time, wheel_seq)) {
-    const Event wheel_front{wheel_time, EventType::kTimer, wheel_seq, kNoJob,
-                            0};
+    const Event wheel_front{wheel_time, wheel_seq, kNoJob, 0, 0,
+                            EventType::kTimer};
     if (best == nullptr || *best > wheel_front) {
       const TimerWheel::Fired fired = wheel_.pop();
       // Event::id carries the tag in the low 32 bits and a tombstone flag in
@@ -131,17 +75,17 @@ Engine::Event Engine::pop_event() {
       const std::uint64_t id =
           static_cast<std::uint32_t>(fired.tag) |
           (fired.live ? 0ull : (1ull << 32));
-      return Event{fired.time, EventType::kTimer, fired.seq, fired.job, id};
+      return Event{fired.time, fired.seq, fired.job, id, 0, EventType::kTimer};
     }
   }
-  return events_.take(best);
+  return core_.queue().take(best);
 }
 
 double Engine::peek_event_time() const {
   // Only the minimum timestamp is needed here, and the fronts carry exact
   // (same-path) doubles, so a plain min over times matches the full
   // Event-order merge in pop_event.
-  double t = events_.front_time();
+  double t = core_.queue().front_time();
   double wheel_time = 0.0;
   std::uint64_t wheel_seq = 0;
   if (wheel_.peek(wheel_time, wheel_seq)) t = std::min(t, wheel_time);
@@ -152,81 +96,39 @@ void Engine::maybe_compact_heap() {
   // The volatile side is the completion heap plus the wheel's queued nodes —
   // the same population the single pre-wheel heap held, so the trigger fires
   // at the same instants as before the split (digest-neutral by replication).
-  if (!events_.compaction_due(events_.volatile_size() +
-                              wheel_.pending_count())) {
+  if (!core_.queue().compaction_due(core_.queue().volatile_size() +
+                                     wheel_.pending_count())) {
     return;
   }
-  events_.compact([&](const Event& e) {
-    return e.type == EventType::kCompletion && e.id != dispatch_epoch_;
-  });
+  core_.purge_stale_completions();
   wheel_.purge_dead();
   ++result_.heap_compactions;
 }
 
-double Engine::remaining(JobId id) const {
-  SJS_CHECK_MSG(is_released(id), "remaining() on unreleased job " << id);
-  return jobs_.remaining(id);
+void Engine::note_queue_peak() {
+  result_.event_heap_peak =
+      std::max<std::uint64_t>(result_.event_heap_peak, pending_events());
 }
 
-bool Engine::is_released(JobId id) const {
-  return jobs_.released_checked(id);
-}
-
-bool Engine::is_completed(JobId id) const {
-  return jobs_.outcome(id) == JobOutcome::kCompleted;
-}
-
-bool Engine::is_expired(JobId id) const {
-  return jobs_.outcome(id) == JobOutcome::kExpired;
-}
-
-bool Engine::is_live(JobId id) const {
-  return is_released(id) && jobs_.outcome(id) == JobOutcome::kPending;
-}
-
-void Engine::advance_execution(double t) {
-  SJS_CHECK_MSG(t >= last_advance_ - 1e-12,
-                "time moved backwards: " << t << " < " << last_advance_);
-  t = std::max(t, last_advance_);
-  if (running_ != kNoJob && t > last_advance_) {
-    const double executed = cursor_.work(last_advance_, t);
-    double& rem = jobs_.remaining(running_);
-    rem = std::max(0.0, rem - executed);
-    result_.busy_time += t - last_advance_;
-    result_.executed_total += executed;
-    if (record_schedule_) {
-      // Extend the current slice if it continues the same job, else append.
-      auto& schedule = result_.schedule;
-      if (!schedule.empty() && schedule.back().job == running_ &&
-          fp::exact_eq(schedule.back().end, last_advance_)) {
-        schedule.back().end = t;
-      } else {
-        util::append(schedule, ExecutionSlice{last_advance_, t, running_});
-      }
-    }
-  }
-  last_advance_ = t;
+void Engine::note_dead_peak() {
+  result_.event_heap_dead_peak = std::max<std::uint64_t>(
+      result_.event_heap_dead_peak, core_.queue().dead());
 }
 
 void Engine::halt_running() {
-  running_ = kNoJob;
-  ++dispatch_epoch_;  // invalidates any in-flight completion event
-  if (completion_pending_) {
-    completion_pending_ = false;
-    events_.mark_dead();
-    result_.event_heap_dead_peak =
-        std::max<std::uint64_t>(result_.event_heap_dead_peak, events_.dead());
-  }
+  if (core_.halt(0)) note_dead_peak();
 }
 
 void Engine::run(JobId id) {
-  SJS_CHECK_MSG(in_callback_, "Engine::run() outside a scheduler callback");
-  advance_execution(now_);
-  if (id == running_) return;
+  SJS_CHECK_MSG(core_.in_callback(),
+                "Engine::run() outside a scheduler callback");
+  core_.advance(now());
+  const JobId current = running();
+  if (id == current) return;
 
-  if (running_ != kNoJob && jobs_.remaining(running_) > 0.0) {
+  if (current != kNoJob && core_.remaining(current) > 0.0) {
     ++result_.preemptions;
-    trace(obs::TraceKind::kPreempt, running_, jobs_.remaining(running_));
+    trace(obs::TraceKind::kPreempt, current, core_.remaining(current));
   }
   halt_running();
   if (id == kNoJob) {
@@ -235,35 +137,25 @@ void Engine::run(JobId id) {
   }
 
   SJS_CHECK_MSG(is_live(id), "run() on non-live job " << id);
-  running_ = id;
   ++result_.dispatches;
-  trace(obs::TraceKind::kDispatch, id, jobs_.remaining(id));
-
-  const Job& j = instance_->job(id);
-  const double completion = cursor_.invert(now_, jobs_.remaining(id));
-  if (completion <= j.deadline + deadline_eps(j.deadline)) {
-    // Clamp to the deadline so a completion that lands "at" the deadline
-    // sorts before the expiry event at the same timestamp.
-    push_event(std::min(completion, j.deadline), EventType::kCompletion, id,
-               dispatch_epoch_);
-    completion_pending_ = true;
-  }
-  // Otherwise the job cannot finish under the true capacity path from here;
-  // the expiry event at its deadline will raise the failure interrupt (the
-  // scheduler is free to preempt it earlier).
+  trace(obs::TraceKind::kDispatch, id, core_.remaining(id));
+  // Without a queued completion the job cannot finish under the true
+  // capacity path from here; the expiry event at its deadline will raise the
+  // failure interrupt (the scheduler is free to preempt it earlier).
+  if (core_.dispatch(0, id)) note_queue_peak();
 }
 
 TimerId Engine::set_timer(double t, JobId jid, int tag) {
-  SJS_CHECK_MSG(in_callback_, "set_timer() outside a scheduler callback");
-  SJS_CHECK_MSG(t >= now_ - 1e-12, "timer in the past: " << t << " < " << now_);
+  SJS_CHECK_MSG(core_.in_callback(), "set_timer() outside a scheduler callback");
+  SJS_CHECK_MSG(t >= now() - 1e-12,
+                "timer in the past: " << t << " < " << now());
   // The global seq keeps wheel entries totally ordered against the other two
   // event sides exactly as when timers shared the heap.
-  const TimerId id = wheel_.arm(std::max(t, now_), jid, tag, next_seq_++);
+  const TimerId id = wheel_.arm(std::max(t, now()), jid, tag, core_.take_seq());
   ++result_.timers_armed;
   result_.timer_slab_peak =
       std::max<std::uint64_t>(result_.timer_slab_peak, wheel_.live_count());
-  result_.event_heap_peak = std::max<std::uint64_t>(
-      result_.event_heap_peak, pending_events());
+  note_queue_peak();
   return id;
 }
 
@@ -272,52 +164,38 @@ void Engine::cancel_timer(TimerId id) {
   // O(1): frees the slab slot; the queued node stays as a tombstone (stale
   // ids are a tolerated no-op; corrupted ids fail a check inside the wheel).
   if (!wheel_.cancel(id)) return;
-  events_.mark_dead();  // its queued node is now dead weight
-  result_.event_heap_dead_peak =
-      std::max<std::uint64_t>(result_.event_heap_dead_peak, events_.dead());
+  core_.queue().mark_dead();  // its queued node is now dead weight
+  note_dead_peak();
   maybe_compact_heap();
 }
 
 void Engine::handle_completion(const Event& event) {
-  if (event.id != dispatch_epoch_ || event.job != running_) {  // stale
-    events_.drop_dead();  // counted when the preemption invalidated it
-    return;
-  }
-  completion_pending_ = false;
-  // The inversion is exact; any residue is floating-point dust or the sliver
-  // a deadline clamp cut off.
-  SJS_CHECK_MSG(jobs_.remaining(event.job) <
-                    completion_residue_bound(instance_->job(event.job),
-                                             instance_->capacity().max_rate()),
-                "completion event with " << jobs_.remaining(event.job)
-                                         << " work left");
-  jobs_.remaining(event.job) = 0.0;
-  jobs_.set_outcome(event.job, JobOutcome::kCompleted);
-  halt_running();
-
+  if (!core_.complete(event)) return;  // stale
   const Job& j = instance_->job(event.job);
   result_.completed_value += j.value;
   ++result_.completed_count;
-  result_.completion_times[job_slot(event.job)] = now_;
-  result_.value_trace.append(now_, result_.completed_value);
+  result_.completion_times[job_slot(event.job)] = now();
+  result_.value_trace.append(now(), result_.completed_value);
   trace(obs::TraceKind::kComplete, event.job, j.value);
 
   scheduler_->on_complete(*this, event.job);
 }
 
 void Engine::handle_expiry(const Event& event) {
-  if (jobs_.outcome(event.job) != JobOutcome::kPending) return;  // completed
-  jobs_.set_outcome(event.job, JobOutcome::kExpired);
+  if (!core_.expire(event.job)) return;  // completed (or cancelled) first
   ++result_.expired_count;
-  const bool was_running = (running_ == event.job);
+  const bool was_running = (running() == event.job);
   if (was_running) halt_running();
-  trace(obs::TraceKind::kExpire, event.job, jobs_.remaining(event.job),
+  trace(obs::TraceKind::kExpire, event.job, core_.remaining(event.job),
         was_running ? 1.0 : 0.0);
-  scheduler_->on_expire(*this, event.job, was_running);
+  // A job withdrawn before its release never reached the scheduler.
+  if (is_released(event.job)) {
+    scheduler_->on_expire(*this, event.job, was_running);
+  }
 }
 
 void Engine::handle_release(const Event& event) {
-  jobs_.set_released(event.job);
+  if (!core_.release(event.job)) return;  // withdrawn before its release
   const Job& j = instance_->job(event.job);
   trace(obs::TraceKind::kRelease, event.job, j.workload, j.deadline);
   scheduler_->on_release(*this, event.job);
@@ -328,7 +206,7 @@ void Engine::handle_timer(const Event& event) {
     // Cancelled before firing (a wheel tombstone): dead event, counted when
     // the cancel happened. Popping it still advanced the clock — the
     // digest-relevant side effect the tombstone exists to preserve.
-    events_.drop_dead();
+    core_.queue().drop_dead();
     return;
   }
   // The slot was freed in pop_event; the id is already stale and the timer
@@ -343,7 +221,7 @@ void Engine::handle_timer(const Event& event) {
   scheduler_->on_timer(*this, jid, tag);
 }
 
-const SimResult& Engine::run_to_completion() {
+void Engine::start_run() {
   // clear() (not `result_ = SimResult{}`) keeps every per-job vector's
   // capacity, so a warmed engine's replay performs no result allocations.
   result_.clear();
@@ -352,21 +230,21 @@ const SimResult& Engine::run_to_completion() {
   result_.completion_times.assign(instance_->size(),
                                   std::numeric_limits<double>::quiet_NaN());
   result_.release_times.reserve(instance_->size());
-  result_.value_trace.reserve(instance_->size());
   for (const Job& j : instance_->jobs()) {
     util::append(result_.release_times, j.release);
   }
+}
+
+const SimResult& Engine::run_to_completion() {
+  start_run();
+  result_.value_trace.reserve(instance_->size());
   seal();
 
   trace(obs::TraceKind::kRunStart, kNoJob,
         static_cast<double>(instance_->size()));
+  core_.callback([&] { scheduler_->on_start(*this); });
 
-  in_callback_ = true;
-  scheduler_->on_start(*this);
-  in_callback_ = false;
-
-  while (pending_events() > 0) {
-    step_event();
+  while (step_event()) {
   }
 
   harvest_result();
@@ -374,6 +252,7 @@ const SimResult& Engine::run_to_completion() {
 }
 
 void Engine::process_event(const Event& event) {
+  ++result_.events_processed;
   switch (event.type) {
     case EventType::kCompletion:
       handle_completion(event);
@@ -382,7 +261,7 @@ void Engine::process_event(const Event& event) {
       handle_expiry(event);
       break;
     case EventType::kCapacityChange:
-      trace(obs::TraceKind::kCapacityChange, kNoJob, cursor_.rate(now_));
+      trace(obs::TraceKind::kCapacityChange, kNoJob, current_rate());
       scheduler_->on_capacity_change(*this);
       break;
     case EventType::kRelease:
@@ -395,27 +274,21 @@ void Engine::process_event(const Event& event) {
 }
 
 // sjs-hot-path-root
-void Engine::step_event() {
+bool Engine::step_event() {
+  if (pending_events() == 0) return false;
   const Event event = pop_event();
-  now_ = std::max(now_, event.time);
+  core_.reach(event.time);
   // Safe exactly here: the pop removed the global minimum, so no pending
-  // wheel entry is earlier than now_ — the precondition for cascading.
-  wheel_.advance_clock(now_);
-  advance_execution(now_);
-  ++result_.events_processed;
-
-  in_callback_ = true;
-  process_event(event);
-  in_callback_ = false;
+  // wheel entry is earlier than now() — the precondition for cascading.
+  wheel_.advance_clock(now());
+  core_.callback([&] { process_event(event); });
+  return true;
 }
 
 void Engine::harvest_result() {
-  result_.outcomes = jobs_.outcome_lane();
-  util::grow(result_.executed_work, instance_->size());
-  const std::vector<double>& remaining = jobs_.remaining_lane();
-  for (std::size_t i = 0; i < instance_->size(); ++i) {
-    result_.executed_work[i] = instance_->jobs()[i].workload - remaining[i];
-  }
+  core_.harvest(result_.outcomes, result_.executed_work);
+  result_.busy_time = core_.busy_time(0);
+  result_.executed_total = core_.executed_total();
   result_.job_slab_peak = jobs_.peak();
   result_.job_slab_slots = jobs_.slots();
   result_.timer_slab_slots = wheel_.slab_size();
@@ -433,80 +306,26 @@ void Engine::harvest_result() {
 // --- Live mode (real-time admission serving) --------------------------------
 
 void Engine::begin_live() {
-  SJS_CHECK_MSG(!live_ && !in_callback_, "begin_live: already live");
-  live_ = true;
-  result_.clear();
-  result_.scheduler_name = scheduler_->name();
-  result_.generated_value = instance_->total_value();
-  result_.completion_times.assign(instance_->size(),
-                                  std::numeric_limits<double>::quiet_NaN());
-  result_.release_times.reserve(instance_->size());
   // A live session normally starts empty, but admit any pre-loaded jobs so a
   // warm-started instance behaves like the equivalent replay.
-  for (const Job& j : instance_->jobs()) {
-    util::append(result_.release_times, j.release);
-    push_event(j.release, EventType::kRelease, j.id, 0);
-    push_event(j.deadline, EventType::kExpiry, j.id, 0);
-  }
+  core_.begin_live();
+  start_run();
   seal();
 
   trace(obs::TraceKind::kRunStart, kNoJob,
         static_cast<double>(instance_->size()));
-  in_callback_ = true;
-  scheduler_->on_start(*this);
-  in_callback_ = false;
+  core_.callback([&] { scheduler_->on_start(*this); });
 }
 
 void Engine::admit_live(JobId id) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "admit_live outside live mode");
-  SJS_CHECK_MSG(static_cast<std::size_t>(id) == jobs_.size(),
-                "admit_live out of order: job " << id << ", expected "
-                    << jobs_.size());
-  const Job& j = instance_->job(id);
-  SJS_CHECK_MSG(j.release >= now_ - 1e-12,
-                "admit_live in the past: release " << j.release << " < now "
-                    << now_);
-  // Dense append: live ids stay == admission order (journal local ids and
-  // the outcome CSV depend on it), so slots are never reused here. All
-  // growth is to reserve_live's pre-size in a bounded-in-flight session.
-  const JobId slab_id = jobs_.append_dense(j.workload);
+  const Job& j = core_.admit_live(id);
+  const JobId slab_id = jobs_.append_dense();
   SJS_CHECK_MSG(slab_id == id, "job slab out of sync with instance ids");
   result_.generated_value += j.value;
   util::append(result_.completion_times,
                std::numeric_limits<double>::quiet_NaN());
   util::append(result_.release_times, j.release);
-  push_event(j.release, EventType::kRelease, id, 0);
-  push_event(j.deadline, EventType::kExpiry, id, 0);
-}
-
-bool Engine::cancel_live(JobId id) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "cancel_live outside live mode");
-  if (!is_live(id)) return false;
-  // Deliver an ordinary expiry interrupt at the current instant; the job's
-  // original expiry event stays queued and later pops as a no-op (outcome is
-  // no longer pending). Note this subdivides the running job's execution
-  // integral at now(), so cancel-bearing sessions are excluded from the
-  // bit-exact replay guarantee (docs/serving.md).
-  advance_execution(now_);
-  const Event event{now_, EventType::kExpiry, next_seq_++, id, 0};
-  ++result_.events_processed;
-  in_callback_ = true;
-  handle_expiry(event);
-  in_callback_ = false;
-  return true;
-}
-
-void Engine::advance_to(double t) {
-  SJS_CHECK_MSG(live_ && !in_callback_, "advance_to outside live mode");
-  SJS_CHECK_MSG(t >= now_ - 1e-12, "advance_to moving backwards: " << t
-                                       << " < " << now_);
-  while (pending_events() > 0 && peek_event_time() < t) {
-    step_event();
-  }
-  now_ = std::max(now_, t);
-  // last_advance_ deliberately stays at the last processed event: execution
-  // integrals must be subdivided at event times only, exactly as replay
-  // subdivides them, or remaining workloads drift by ulps.
+  note_queue_peak();
 }
 
 double Engine::next_event_time() const {
@@ -515,24 +334,17 @@ double Engine::next_event_time() const {
 }
 
 const SimResult& Engine::finish_live() {
-  SJS_CHECK_MSG(live_ && !in_callback_, "finish_live outside live mode");
-  while (pending_events() > 0) {
-    step_event();
-  }
+  core_.finish_live();
   harvest_result();
-  live_ = false;
   return result_;
 }
 
 void Engine::reserve_live(std::size_t max_in_flight, std::size_t jobs) {
-  const std::size_t dense = std::max(max_in_flight, jobs);
-  live_reserve_ = dense;
+  core_.reserve_live(max_in_flight, jobs);
+  const std::size_t dense = core_.job_capacity_hint();
   jobs_.reserve(dense);
-  // Live releases/expiries go to the volatile heap: up to two events per
-  // in-flight job, plus the running job's completion.
-  events_.reserve_volatile(2 * max_in_flight + 1);
   // The static side of a live run only takes capacity breakpoints.
-  events_.reserve_static(instance_->capacity().breakpoints().size());
+  core_.queue().reserve_static(instance_->capacity().breakpoints().size());
   wheel_.reserve(max_in_flight);
   result_.completion_times.reserve(dense);
   result_.release_times.reserve(dense);

@@ -12,34 +12,34 @@
 // so a job finishing exactly at its deadline succeeds, and a timer armed
 // "now" during a release handler fires immediately after it.
 //
-// Stale events are handled by lazy invalidation: each dispatch bumps an epoch
-// counter recorded in completion events, and timers live in sim::TimerWheel —
-// a hierarchical wheel over virtual time whose slab slots carry a generation
-// stamp, so cancelling or firing a timer frees its slot in O(1) and bumps the
-// generation, and any event or handle still holding the old id decodes to a
-// mismatched generation and is discarded. Dead events left queued by either
-// mechanism are reclaimed lazily: when they outnumber the live events the
-// volatile side is compacted in one O(n) pass. Both structures are therefore
-// bounded by the number of *simultaneously pending* timers/dispatches, not by
-// the totals over the run.
+// The execution model — ground truth per server and per job, the event queue,
+// the execution-integral advance, completion scheduling and the live-mode
+// shell — is sim::ExecCore (sim/exec_core.hpp), held here with one server;
+// cloud::MultiEngine holds the same core with a fleet. This class adds what
+// only the single-server engine has: the Scheduler hooks, timers in
+// sim::TimerWheel (a hierarchical wheel whose generation-stamped slab slots
+// make a cancelled or fired timer's id stale in O(1)), capacity-change
+// interrupts, the batch-seal cache, the schedulers' JobTable lanes and the
+// recorded schedule. Dead events — completions killed by a preemption and
+// cancelled-timer tombstones — are purged once they outnumber the live ones
+// on the volatile side, so both structures stay bounded by the number of
+// *simultaneously pending* timers/dispatches, not by the totals over the run.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "capacity/capacity_profile.hpp"
 #include "jobs/instance.hpp"
 #include "obs/trace_sink.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/exec_core.hpp"
 #include "sim/job_table.hpp"
 #include "sim/result.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer_wheel.hpp"
-#include "util/fp.hpp"
 
 namespace sjs::sim {
 
-class Engine {
+class Engine final : private ExecCore::Host {
  public:
   /// Binds the engine to an instance and a scheduler. Neither is owned; both
   /// must outlive the engine. A Scheduler instance must not be reused across
@@ -72,17 +72,10 @@ class Engine {
   // running a sealed instance to completion: jobs are appended to the bound
   // Instance as they arrive over the wire (Instance::append_job) and admitted
   // with admit_live(); the event loop advances virtual time with
-  // advance_to(t) between socket polls. Live mode reuses the exact replay
-  // machinery — push_event/pop_event, the handler dispatch, the (time, type,
-  // seq) total order — so a live session whose admitted arrival stream is
+  // advance_to(t) between socket polls. The shell is ExecCore's (see its
+  // live-mode notes): a live session whose admitted arrival stream is
   // journalled and replayed through run_to_completion reproduces the
-  // identical schedule: the event sequences coincide because (1) live
-  // release/expiry events go to the volatile heap, and heap-vs-static
-  // placement never affects the merged pop order, (2) admission stamps are
-  // strictly increasing and advance_to's bound is *strict* (< t), so every
-  // event at one timestamp is in the queue before any of them pops, and (3)
-  // relative seq order within each (time, type) class equals admission order
-  // in both modes. See docs/serving.md for the full argument.
+  // identical schedule. See docs/serving.md for the full argument.
 
   /// Enters live mode over the (possibly empty) bound instance: initialises
   /// the run, seals the capacity-change interrupts if the scheduler wants
@@ -93,22 +86,24 @@ class Engine {
   /// >= now() — into the live run: schedules its release and expiry.
   void admit_live(JobId id);
 
-  /// Force-expires a live job at now() (client cancellation). The scheduler
-  /// sees an ordinary on_expire interrupt. Returns false when the job is not
-  /// live (already completed/expired/cancelled, or not yet released).
-  /// Sessions containing cancellations are not journal-replayable through
-  /// run_to_completion (the replay input has no cancel channel).
-  bool cancel_live(JobId id);
+  /// Force-expires an admitted pending job at now() (client cancellation,
+  /// or an admission withdrawn by a failed journal commit). A released job
+  /// raises an ordinary on_expire interrupt; one not yet released expires
+  /// without reaching the scheduler. Returns false when the job is not
+  /// admitted or no longer pending. Sessions containing cancellations are
+  /// not journal-replayable through run_to_completion (the replay input has
+  /// no cancel channel).
+  bool cancel_live(JobId id) { return core_.cancel_live(id); }
 
   /// Processes every pending event with time *strictly* before t, then
   /// advances the virtual clock to t (>= now()). Strictness is what keeps
   /// live pop order identical to replay order: events at exactly t wait
   /// until every same-timestamp admission has been queued.
-  void advance_to(double t);
+  void advance_to(double t) { core_.advance_to(t); }
 
   /// Timestamp of the next pending event, or +infinity when idle — the event
   /// loop's poll-timeout bound.
-  double next_event_time() const;
+  double next_event_time() const override;
 
   /// Fast-forwards through every remaining event (drain: the simulated
   /// backlog is resolved immediately in virtual time), harvests and returns
@@ -116,7 +111,7 @@ class Engine {
   /// run_to_completion().
   const SimResult& finish_live();
 
-  bool live_mode() const { return live_; }
+  bool live_mode() const { return core_.live(); }
 
   /// Pre-sizes a live session: the structures that grow with the in-flight
   /// population (both event-queue sides, the timer wheel's node slab) for
@@ -134,16 +129,16 @@ class Engine {
   /// on_start(): the static job count on replay runs, or the reserve_live()
   /// dense pre-size in a live session (where job_count() is still 0 at
   /// start).
-  std::size_t job_capacity_hint() const {
-    return std::max(job_count(), live_reserve_);
-  }
+  std::size_t job_capacity_hint() const { return core_.job_capacity_hint(); }
 
   // -------------------------------------------------------------------------
 
   /// Enables recording of the full execution timeline into
   /// SimResult::schedule (off by default; costs one slice append per
   /// dispatch change). Call before run_to_completion().
-  void record_schedule(bool enabled) { record_schedule_ = enabled; }
+  void record_schedule(bool enabled) {
+    core_.record_schedule(enabled ? &result_.schedule : nullptr);
+  }
 
   /// Attaches a trace sink (src/obs/) receiving every engine event as a
   /// typed record; nullptr detaches. The sink is not owned and must outlive
@@ -154,10 +149,10 @@ class Engine {
 
   // --- Query surface available to schedulers (online-observable only) ---
 
-  double now() const { return now_; }
+  double now() const { return core_.now(); }
   /// Current instantaneous capacity (observable: c(τ) is known for τ <= now).
   /// Served from the monotone capacity cursor: amortized O(1).
-  double current_rate() const { return cursor_.rate(now_); }
+  double current_rate() const { return core_.rate(0); }
   /// The declared capacity band (known a priori to the algorithms).
   double c_lo() const { return instance_->c_lo(); }
   double c_hi() const { return instance_->c_hi(); }
@@ -165,26 +160,30 @@ class Engine {
   const Job& job(JobId id) const { return instance_->job(id); }
   std::size_t job_count() const { return instance_->size(); }
   /// Remaining workload of a released job (exact as of `now`).
-  double remaining(JobId id) const;
-  bool is_released(JobId id) const;
-  bool is_completed(JobId id) const;
-  bool is_expired(JobId id) const;
+  double remaining(JobId id) const { return core_.released_remaining(id); }
+  bool is_released(JobId id) const { return core_.is_released(id); }
+  bool is_completed(JobId id) const {
+    return core_.outcome(id) == JobOutcome::kCompleted;
+  }
+  bool is_expired(JobId id) const {
+    return core_.outcome(id) == JobOutcome::kExpired;
+  }
   /// A job is live if released, not completed, and not expired.
-  bool is_live(JobId id) const;
+  bool is_live(JobId id) const { return core_.is_live(id); }
   /// The job currently occupying the processor, or kNoJob.
-  JobId running() const { return running_; }
+  JobId running() const { return core_.running(0); }
 
   /// Conservative laxity (Definition 5) of a live job at `now`, computed with
   /// the capacity estimate `c_est` (V-Dover passes c_lo; Dover passes ĉ).
   double claxity(JobId id, double c_est) const {
-    return job(id).deadline - now_ - remaining(id) / c_est;
+    return job(id).deadline - now() - remaining(id) / c_est;
   }
 
   /// The structure-of-arrays job slab backing every per-job lane. Schedulers
   /// own their lanes (V-Dover's Qedf metadata / 0cl timers / flags, EDF-AC's
   /// admission scratch) and read/write them through this reference; the
-  /// ground-truth lanes (remaining, outcome, released) are engine-owned —
-  /// schedulers must only read those, via the query surface above.
+  /// ground truth (remaining, outcome, released) is ExecCore's — schedulers
+  /// read it through the query surface above.
   JobTable& job_state() { return jobs_; }
   const JobTable& job_state() const { return jobs_; }
 
@@ -222,7 +221,7 @@ class Engine {
   /// Dead events currently queued on the volatile side (stale completions in
   /// the heap + cancelled-timer tombstones in the wheel); lazy compaction
   /// keeps this at most max(kCompactionMinEvents, half the volatile side).
-  std::size_t dead_event_count() const { return events_.dead(); }
+  std::size_t dead_event_count() const { return core_.queue().dead(); }
 
   /// Compaction is skipped below this volatile-side size (EventQueue).
   static constexpr std::size_t kCompactionMinEvents = sim::kCompactionMinEvents;
@@ -235,118 +234,80 @@ class Engine {
   }
 
  private:
-  enum class EventType : std::uint8_t {
-    // Declaration order IS the tie-break priority at equal timestamps.
-    kCompletion = 0,
-    kExpiry = 1,
-    kCapacityChange = 2,
-    kRelease = 3,
-    kTimer = 4,
-  };
+  using Event = ExecCore::Event;
+  using EventType = ExecCore::EventType;
 
-  struct Event {
-    double time;
-    EventType type;
-    std::uint64_t seq;     // FIFO tie-break within the same (time, type)
-    JobId job = kNoJob;
-    std::uint64_t id = 0;  // dispatch epoch (completion) or timer tag
-
-    bool operator>(const Event& other) const {
-      if (fp::exact_ne(time, other.time)) return time > other.time;
-      if (type != other.type) return type > other.type;
-      return seq > other.seq;
-    }
-  };
-
-  /// Records one trace event at `now_`; compiles to a null check when no
+  /// Records one trace event at now(); compiles to a null check when no
   /// sink is attached (the zero-cost disabled path).
   void trace(obs::TraceKind kind, JobId job, double a = 0.0, double b = 0.0) {
-    if (sink_) sink_->record(obs::TraceEvent{now_, kind, job, -1, a, b});
+    if (sink_) sink_->record(obs::TraceEvent{now(), kind, job, -1, a, b});
   }
 
-  /// Pushes a volatile-side event: a completion, or a live-admitted release
-  /// or expiry. The static side is built only by seal().
-  void push_event(double time, EventType type, JobId job, std::uint64_t id);
   /// Seals the static side at run start. A batch run (run_to_completion)
   /// seals every job's release and expiry plus the capacity breakpoints in
   /// (0, max_deadline]; a live run (begin_live) seals only the breakpoints,
-  /// all of them. Seqs continue from next_seq_ in push order — release 2i,
-  /// expiry 2i+1, then the breakpoints — so the queue equals the one a
-  /// push-everything-then-sort would give. Built by merge: releases and
-  /// breakpoints already ascend, only the expiries are sorted. A batch seal
-  /// is cached and replayed by the next batch run with the same job count
-  /// and capacity subscription; a live seal drops the cache.
+  /// all of them. A batch seal is cached and replayed by the next batch run
+  /// with the same job count and capacity subscription; a live seal drops
+  /// the cache.
   void seal();
   Event pop_event();
   /// Timestamp of the event pop_event would return (+inf when none). Dead
   /// events count — popping them is a cheap no-op, never wrong.
   double peek_event_time() const;
-  /// Pops and handles exactly one event (the body of the run loops).
-  void step_event();
+  /// Pops and handles exactly one event (the body of the run loops); false
+  /// when none is pending.
+  bool step_event() override;
   /// Dispatches one event to its handler (the switch shared by all modes).
-  void process_event(const Event& event);
+  void process_event(const Event& event) override;
   /// Fills the end-of-run SimResult fields (outcome/work tables, occupancy
   /// stats, kRunEnd trace) shared by run_to_completion and finish_live.
   void harvest_result();
   /// Rewinds all per-run state (capacities of every container are kept).
   void rewind();
+  /// Resets the result for a run and raises kRunStart and on_start once the
+  /// static side is sealed.
+  void start_run();
   /// Purges dead events once they outnumber the live ones (amortized O(1)
   /// per event; total order on events makes the rebuild order-neutral).
   void maybe_compact_heap();
-  /// Brings the running job's remaining workload up to date at time `t`.
-  void advance_execution(double t);
   /// Stops the running job (bookkeeping only; no scheduler callback).
   void halt_running();
+  /// Samples the pending-event and dead-event peaks into the result.
+  void note_queue_peak();
+  void note_dead_peak();
   void handle_completion(const Event& event);
   void handle_expiry(const Event& event);
   void handle_release(const Event& event);
   void handle_timer(const Event& event);
 
+  std::size_t pending_events() const {
+    return core_.queue().pending() + wheel_.pending_count();
+  }
+
   const Instance* instance_;
   Scheduler* scheduler_;
 
-  double now_ = 0.0;
-  double last_advance_ = 0.0;   // execution accounted up to this time
-  JobId running_ = kNoJob;
-  std::uint64_t dispatch_epoch_ = 0;
-  /// A completion event for the current dispatch epoch is in the heap; used
-  /// to count the event as dead the moment a preemption invalidates it.
-  bool completion_pending_ = false;
-
-  /// Per-job ground truth + scheduler lanes, one SoA slab (sim/job_table.hpp).
+  /// The execution model with one server: clock, ground truth, the
+  /// static/volatile event queue (static: sealed releases, expiries and
+  /// capacity changes; volatile: completions and live releases/expiries).
+  /// Its dead count covers the whole volatile side, wheel tombstones
+  /// included.
+  ExecCore core_;
+  /// The schedulers' per-job lanes (sim/job_table.hpp).
   JobTable jobs_;
 
-  std::size_t pending_events() const {
-    return events_.pending() + wheel_.pending_count();
-  }
-
-  /// The shared static/volatile event queue (sim/event_queue.hpp): the
-  /// static side holds the sealed releases, expiries, and capacity changes;
-  /// the volatile heap holds completions (and, in live mode, the
-  /// late-arriving releases/expiries). Its dead count covers the whole
-  /// volatile side, wheel tombstones included.
-  EventQueue<Event> events_;
   bool static_sealed_ = false;
-  /// Cache key of the batch seal held in events_' static side (seal()).
+  /// Cache key of the batch seal held in the core's static side (seal()).
   bool batch_seal_cached_ = false;
   std::size_t batch_seal_jobs_ = 0;
   bool batch_seal_capacity_ = false;
-  std::uint64_t next_seq_ = 0;
 
   /// Volatile side, timers: the hierarchical wheel — amortized O(1)
   /// arm/cancel, pops in exact (time, seq) order (sim/timer_wheel.hpp).
-  /// pop_event merges its front with the other two sides under the total
-  /// order on Event, so the merged pop sequence is identical to the old
-  /// single heap's.
+  /// pop_event merges its front with the core queue's under the total order
+  /// on Event.
   TimerWheel wheel_;
 
-  mutable cap::CapacityProfile::Cursor cursor_;  // mutable: amortized-O(1)
-                                                 // lookups from const queries
-
-  bool in_callback_ = false;
-  bool live_ = false;  // live admission mode (begin_live..finish_live)
-  bool record_schedule_ = false;
-  std::size_t live_reserve_ = 0;  // reserve_live() dense pre-size (hint)
   obs::TraceSink* sink_ = nullptr;
   SimResult result_;
 };

@@ -5,21 +5,23 @@
 
 namespace sjs::sim {
 
-void JobTable::init_slot(std::uint32_t slot, double workload) {
-  remaining_[slot] = workload;
-  outcome_[slot] = JobOutcome::kPending;
-  released_[slot] = 0;
+void JobTable::init_slot(std::uint32_t slot) {
   qedf_meta_[slot] = QedfMeta{};
   ocl_timer_[slot] = kNoTimer;
   abandoned_[slot] = 0;
   ocl_scheduled_[slot] = 0;
 }
 
-void JobTable::bind_dense(const std::vector<Job>& jobs) {
-  const std::size_t n = jobs.size();
-  util::grow(remaining_, n);
-  util::grow(outcome_, n);
-  util::grow(released_, n);
+void JobTable::append_slot() {
+  util::append(qedf_meta_, QedfMeta{});
+  util::append(ocl_timer_, kNoTimer);
+  util::append(abandoned_, std::uint8_t{0});
+  util::append(ocl_scheduled_, std::uint8_t{0});
+  util::append(gen_, std::uint32_t{0});
+  util::append(freed_, std::uint8_t{0});
+}
+
+void JobTable::bind_dense(std::size_t n) {
   util::grow(qedf_meta_, n);
   util::grow(ocl_timer_, n);
   util::grow(abandoned_, n);
@@ -28,7 +30,7 @@ void JobTable::bind_dense(const std::vector<Job>& jobs) {
   util::grow(freed_, n);
   free_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    init_slot(static_cast<std::uint32_t>(i), jobs[i].workload);
+    init_slot(static_cast<std::uint32_t>(i));
     gen_[i] = 0;
     freed_[i] = 0;
   }
@@ -36,45 +38,28 @@ void JobTable::bind_dense(const std::vector<Job>& jobs) {
   peak_ = n;
 }
 
-JobId JobTable::append_dense(double workload) {
+JobId JobTable::append_dense() {
   SJS_CHECK_MSG(free_.empty(),
                 "append_dense after slab-regime reuse: dense ids require "
                 "no slot reuse");
-  const auto slot = static_cast<std::uint32_t>(remaining_.size());
-  util::append(remaining_, 0.0);
-  util::append(outcome_, JobOutcome::kPending);
-  util::append(released_, std::uint8_t{0});
-  util::append(qedf_meta_, QedfMeta{});
-  util::append(ocl_timer_, kNoTimer);
-  util::append(abandoned_, std::uint8_t{0});
-  util::append(ocl_scheduled_, std::uint8_t{0});
-  util::append(gen_, std::uint32_t{0});
-  util::append(freed_, std::uint8_t{0});
-  init_slot(slot, workload);
+  const auto slot = static_cast<std::uint32_t>(gen_.size());
+  append_slot();
   ++live_;
   if (live_ > peak_) peak_ = live_;
   return make_job_id(slot, 0);
 }
 
-JobId JobTable::allocate(double workload) {
+JobId JobTable::allocate() {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
     free_.pop_back();
     freed_[slot] = 0;
+    init_slot(slot);
   } else {
-    slot = static_cast<std::uint32_t>(remaining_.size());
-    util::append(remaining_, 0.0);
-    util::append(outcome_, JobOutcome::kPending);
-    util::append(released_, std::uint8_t{0});
-    util::append(qedf_meta_, QedfMeta{});
-    util::append(ocl_timer_, kNoTimer);
-    util::append(abandoned_, std::uint8_t{0});
-    util::append(ocl_scheduled_, std::uint8_t{0});
-    util::append(gen_, std::uint32_t{0});
-    util::append(freed_, std::uint8_t{0});
+    slot = static_cast<std::uint32_t>(gen_.size());
+    append_slot();
   }
-  init_slot(slot, workload);
   ++live_;
   if (live_ > peak_) peak_ = live_;
   return make_job_id(slot, gen_[slot]);
@@ -108,9 +93,6 @@ void JobTable::clear() {
 }
 
 void JobTable::reserve(std::size_t n) {
-  remaining_.reserve(n);
-  outcome_.reserve(n);
-  released_.reserve(n);
   qedf_meta_.reserve(n);
   ocl_timer_.reserve(n);
   abandoned_.reserve(n);

@@ -1,18 +1,18 @@
-// Structure-of-arrays job slab — the engine's ground-truth per-job state.
+// Structure-of-arrays job slab — the schedulers' per-job state.
 //
-// Every per-job table that used to live scattered across the engine
-// (remaining workload, outcome, released flag) and the schedulers (V-Dover's
-// Qedf metadata, 0cl timer handles, abandonment flags; EDF-AC's trial-schedule
-// scratch) is one contiguous lane here, indexed by the slot half of a JobId.
-// Centralising them buys three things:
+// The per-job tables schedulers keep (V-Dover's Qedf metadata, 0cl timer
+// handles, abandonment flags; EDF-AC's trial-schedule scratch) are one
+// contiguous lane each here, indexed by the slot half of a JobId. The
+// engine's ground truth (remaining workload, outcome, released) lives in
+// sim::ExecCore, so an engine without these schedulers never carries them.
+// Centralising the lanes buys three things:
 //
 //   1. Zero-allocation steady state: the slab is pre-sized once (reserve()
 //      from --max-in-flight in live mode, bind_dense() per replay) and every
 //      handler afterwards is pure lane indexing — no per-job push_back left
 //      anywhere on the hot path.
-//   2. Cache locality: the completion/expiry handlers touch remaining +
-//      outcome for the same slot back-to-back; parallel arrays keep those
-//      loads on adjacent cache lines instead of chasing map nodes.
+//   2. Cache locality: parallel arrays keep a scheduler's per-job loads on
+//      adjacent cache lines instead of chasing map nodes.
 //   3. Generation-stamped handles (the timer-slab idiom, sim/timer_wheel.hpp):
 //      allocate()/release_slot() reuse slots through a free list and bump a
 //      per-slot generation, so a stale JobId held across a release decodes to
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "jobs/job.hpp"
-#include "sim/result.hpp"
 #include "sim/scheduler.hpp"
 
 namespace sjs::sim {
@@ -61,25 +60,25 @@ class JobTable {
  public:
   // --- Dense regime (replay + live admission; generation 0) ----------------
 
-  /// Rebinds the slab to a sealed instance: slot i holds job i's initial
-  /// state, ids are dense (== slots, generation 0). Keeps lane capacity
-  /// across calls — the Monte-Carlo driver rebinds one engine per cell.
-  /// Invalidates the free list and resets all generations (a rebind
-  /// repopulates every slot, so handles from before it are void by contract,
-  /// exactly as with the old per-run vectors).
-  void bind_dense(const std::vector<Job>& jobs);
+  /// Rebinds the slab to `n` fresh slots: ids are dense (== slots,
+  /// generation 0). Keeps lane capacity across calls — the Monte-Carlo
+  /// driver rebinds one engine per cell. Invalidates the free list and
+  /// resets all generations (a rebind repopulates every slot, so handles
+  /// from before it are void by contract, exactly as with the old per-run
+  /// vectors).
+  void bind_dense(std::size_t n);
 
   /// Appends one dense slot (live admission): id == slot == previous size,
   /// generation 0. Must not be mixed with slab-regime reuse (the free list
   /// must be empty) — live replay fidelity depends on dense admission-order
   /// ids (journal local ids, outcome CSV rows).
-  JobId append_dense(double workload);
+  JobId append_dense();
 
   // --- Slab regime (free-list reuse, generation stamps) --------------------
 
   /// Takes a slot (reusing a freed one when available), initialises its
   /// lanes, and returns a generation-stamped handle.
-  JobId allocate(double workload);
+  JobId allocate();
 
   /// Frees the slot behind `id` and bumps its generation, invalidating every
   /// outstanding handle to it. Stale or foreign ids are a harmless no-op
@@ -106,31 +105,15 @@ class JobTable {
   /// admissions fit without reallocation).
   void reserve(std::size_t n);
 
-  std::size_t size() const { return remaining_.size(); }
+  std::size_t size() const { return gen_.size(); }
   /// Slots currently occupied (dense slots count until clear/rebind).
   std::size_t live_count() const { return live_; }
   /// Peak simultaneous occupancy since the last clear()/bind_dense().
   std::size_t peak() const { return peak_; }
   /// Distinct slots ever populated (lane length; survives clear()).
-  std::size_t slots() const { return remaining_.size(); }
+  std::size_t slots() const { return gen_.size(); }
 
   // --- Lanes (hot accessors: unchecked slot indexing, see header note) ------
-
-  double remaining(JobId id) const { return remaining_[job_slot(id)]; }
-  double& remaining(JobId id) { return remaining_[job_slot(id)]; }
-
-  JobOutcome outcome(JobId id) const { return outcome_[job_slot(id)]; }
-  void set_outcome(JobId id, JobOutcome o) { outcome_[job_slot(id)] = o; }
-
-  bool released(JobId id) const { return released_[job_slot(id)] != 0; }
-  void set_released(JobId id) { released_[job_slot(id)] = 1; }
-
-  /// Bounds-checked released query for ids that may not be in the table yet
-  /// (live mode: a ticket can reference a job not yet admitted).
-  bool released_checked(JobId id) const {
-    const std::uint32_t slot = job_slot(id);
-    return id >= 0 && slot < released_.size() && released_[slot] != 0;
-  }
 
   QedfMeta& qedf_meta(JobId id) { return qedf_meta_[job_slot(id)]; }
   const QedfMeta& qedf_meta(JobId id) const { return qedf_meta_[job_slot(id)]; }
@@ -146,9 +129,6 @@ class JobTable {
     ocl_scheduled_[job_slot(id)] = v ? 1 : 0;
   }
 
-  const std::vector<double>& remaining_lane() const { return remaining_; }
-  const std::vector<JobOutcome>& outcome_lane() const { return outcome_; }
-
   /// EDF-AC's trial-schedule scratch (deadline, remaining) — a slab-owned
   /// buffer so the admission test reuses one allocation across calls. Exposed
   /// const-callable (mutable member) because the admission test is a const
@@ -158,12 +138,11 @@ class JobTable {
   }
 
  private:
+  /// Appends one slot to every lane (fresh state, generation 0).
+  void append_slot();
   /// Resets one slot's lanes to a fresh job's state.
-  void init_slot(std::uint32_t slot, double workload);
+  void init_slot(std::uint32_t slot);
 
-  std::vector<double> remaining_;
-  std::vector<JobOutcome> outcome_;
-  std::vector<std::uint8_t> released_;
   std::vector<QedfMeta> qedf_meta_;
   std::vector<TimerId> ocl_timer_;
   std::vector<std::uint8_t> abandoned_;

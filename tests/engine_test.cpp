@@ -823,6 +823,35 @@ TEST(EngineSeal, LiveAndBatchSealsDoNotShareTheCache) {
   }
 }
 
+// ------------------------------------------------- live cancellation
+
+TEST(Engine, CancelBeforeReleaseExpiresTheJobUnseen) {
+  // A live admission cancelled before its release event pops (as when a
+  // failed journal commit withdraws a batch) expires at once; its queued
+  // release and expiry later pop as no-ops, so the scheduler never sees it.
+  Instance instance({}, cap::CapacityProfile(1.0));
+  LoggingScheduler sched;
+  Engine engine(instance, sched);
+  engine.begin_live();
+  const JobId kept = instance.append_job(make_job(1.0, 1.0, 5.0, 1.0));
+  engine.admit_live(kept);
+  const JobId withdrawn = instance.append_job(make_job(1.0, 1.0, 5.0, 2.0));
+  engine.admit_live(withdrawn);
+  EXPECT_TRUE(engine.cancel_live(withdrawn));
+  EXPECT_TRUE(engine.is_expired(withdrawn));
+  EXPECT_FALSE(engine.cancel_live(withdrawn));  // no longer pending
+  const SimResult& result = engine.finish_live();
+  EXPECT_EQ(result.completed_count, 1u);
+  EXPECT_EQ(result.expired_count, 1u);
+  const auto slot = static_cast<std::size_t>(withdrawn);
+  EXPECT_EQ(result.outcomes[slot], JobOutcome::kExpired);
+  EXPECT_EQ(result.executed_work[slot], 0.0);
+  ASSERT_FALSE(sched.log_.empty());
+  for (const auto& entry : sched.log_) {
+    EXPECT_NE(entry.job, withdrawn) << "scheduler saw '" << entry.kind << "'";
+  }
+}
+
 // ------------------------------------------------- completion residue
 
 TEST(Engine, CompletionClampedOntoLateDeadlineCompletes) {

@@ -1,6 +1,9 @@
 // Unit tests for the SoA job slab (sim/job_table.hpp): generation-stamped
-// handle semantics, free-list slot reuse, clear()-for-reuse across
-// Monte-Carlo cells, and the bounded-memory contract under churn.
+// handle semantics, free-list slot reuse (with every lane reset on reuse),
+// clear()-for-reuse across Monte-Carlo cells, and the bounded-memory
+// contract under churn. The lanes observed are the schedulers' (Qedf
+// metadata, abandonment flag, 0cl timer handle); the engine's ground truth
+// lives in sim::ExecCore.
 //
 // The differential test mirrors ready_queue_test.cpp's approach: drive the
 // slab and a deliberately naive AoS reference (maps keyed by handle) with
@@ -30,36 +33,39 @@ TEST(JobTableTest, DenseBindMatchesInstanceOrder) {
     jobs.push_back(Job{static_cast<JobId>(i), 0.0, 1.0 + i, 10.0, 1.0});
   }
   JobTable table;
-  table.bind_dense(jobs);
+  table.bind_dense(jobs.size());
   ASSERT_EQ(table.size(), 5u);
   for (JobId id = 0; id < 5; ++id) {
     // Dense ids are numerically the slot: generation 0.
     EXPECT_EQ(job_slot(id), static_cast<std::uint32_t>(id));
     EXPECT_EQ(job_generation(id), 0u);
     EXPECT_TRUE(table.valid(id));
-    EXPECT_EQ(table.remaining(id), 1.0 + id);
-    EXPECT_EQ(table.outcome(id), sim::JobOutcome::kPending);
-    EXPECT_FALSE(table.released(id));
+    EXPECT_EQ(table.qedf_meta(id).t_insert, 0.0);
+    EXPECT_EQ(table.ocl_timer(id), sim::kNoTimer);
+    EXPECT_FALSE(table.abandoned(id));
   }
 }
 
 TEST(JobTableTest, AppendDenseAssignsAdmissionOrderIds) {
   JobTable table;
-  table.bind_dense({});
-  EXPECT_EQ(table.append_dense(2.0), 0);
-  EXPECT_EQ(table.append_dense(3.0), 1);
-  EXPECT_EQ(table.append_dense(4.0), 2);
+  table.bind_dense(0);
+  EXPECT_EQ(table.append_dense(), 0);
+  EXPECT_EQ(table.append_dense(), 1);
+  EXPECT_EQ(table.append_dense(), 2);
   EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.remaining(1), 3.0);
+  EXPECT_EQ(table.live_count(), 3u);
+  EXPECT_EQ(table.ocl_timer(1), sim::kNoTimer);
 }
 
 TEST(JobTableTest, ReleaseSlotInvalidatesHandleAndReusesSlot) {
   JobTable table;
-  const JobId a = table.allocate(1.0);
-  const JobId b = table.allocate(2.0);
+  const JobId a = table.allocate();
+  const JobId b = table.allocate();
   ASSERT_TRUE(table.valid(a));
   ASSERT_TRUE(table.valid(b));
   EXPECT_EQ(table.live_count(), 2u);
+  table.qedf_meta(a).t_insert = 1.0;
+  table.set_abandoned(a, true);
 
   EXPECT_TRUE(table.release_slot(a));
   EXPECT_FALSE(table.valid(a));
@@ -70,20 +76,23 @@ TEST(JobTableTest, ReleaseSlotInvalidatesHandleAndReusesSlot) {
 
   // The freed slot is reused under a NEW generation: same slot, different
   // handle, and the stale handle still bounces.
-  const JobId c = table.allocate(3.0);
+  const JobId c = table.allocate();
   EXPECT_EQ(job_slot(c), job_slot(a));
   EXPECT_NE(job_generation(c), job_generation(a));
   EXPECT_TRUE(table.valid(c));
   EXPECT_FALSE(table.valid(a));
-  EXPECT_EQ(table.remaining(c), 3.0);
+  // The reused slot's lanes start fresh.
+  EXPECT_EQ(table.qedf_meta(c).t_insert, 0.0);
+  EXPECT_FALSE(table.abandoned(c));
   EXPECT_EQ(table.size(), 2u);  // no third slot was ever created
 }
 
 TEST(JobTableTest, ClearBumpsGenerationsOfOccupiedSlots) {
   JobTable table;
-  const JobId a = table.allocate(1.0);
-  const JobId b = table.allocate(2.0);
-  table.set_released(a);
+  const JobId a = table.allocate();
+  const JobId b = table.allocate();
+  table.set_abandoned(a, true);
+  table.qedf_meta(b).t_insert = 2.0;
   table.clear();
 
   EXPECT_EQ(table.live_count(), 0u);
@@ -93,12 +102,12 @@ TEST(JobTableTest, ClearBumpsGenerationsOfOccupiedSlots) {
   EXPECT_EQ(table.slots(), 2u);
 
   // Slots come back under fresh generations with fresh lane state.
-  const JobId c = table.allocate(5.0);
+  const JobId c = table.allocate();
   EXPECT_FALSE(table.valid(a));
   EXPECT_FALSE(table.valid(b));
   EXPECT_TRUE(table.valid(c));
-  EXPECT_FALSE(table.released(c));
-  EXPECT_EQ(table.remaining(c), 5.0);
+  EXPECT_FALSE(table.abandoned(c));
+  EXPECT_EQ(table.qedf_meta(c).t_insert, 0.0);
   EXPECT_EQ(table.size(), 2u);
 }
 
@@ -108,8 +117,8 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
   // release erases it; clear erases everything. The slab must agree on
   // every observable after every operation.
   JobTable table;
-  std::map<JobId, double> ref_remaining;
-  std::map<JobId, bool> ref_released;
+  std::map<JobId, double> ref_remaining;  // the qedf_meta t_insert lane
+  std::map<JobId, bool> ref_released;     // the abandoned lane
   std::vector<JobId> live;  // reference's live handles, insertion order
   std::vector<JobId> stale; // every handle ever invalidated
   Rng rng(20250809);
@@ -119,8 +128,9 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
     if (roll < 0.40 || live.empty()) {
       // Allocate.
       const double workload = rng.uniform(0.5, 9.5);
-      const JobId id = table.allocate(workload);
+      const JobId id = table.allocate();
       ASSERT_TRUE(table.valid(id));
+      table.qedf_meta(id).t_insert = workload;
       ASSERT_EQ(ref_remaining.count(id), 0u) << "slab returned a live handle";
       ref_remaining[id] = workload;
       ref_released[id] = false;
@@ -142,10 +152,10 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
           rng.uniform(0.0, static_cast<double>(live.size())));
       const JobId id = live[std::min(k, live.size() - 1)];
       const double served = rng.uniform(0.0, 0.5);
-      table.remaining(id) -= served;
+      table.qedf_meta(id).t_insert -= served;
       ref_remaining[id] -= served;
       if (rng.uniform(0.0, 1.0) < 0.3) {
-        table.set_released(id);
+        table.set_abandoned(id, true);
         ref_released[id] = true;
       }
     } else if (roll < 0.995) {
@@ -171,8 +181,8 @@ TEST(JobTableTest, RandomizedDifferentialAgainstAosReference) {
     ASSERT_EQ(table.live_count(), ref_remaining.size());
     for (const auto& [id, rem] : ref_remaining) {
       ASSERT_TRUE(table.valid(id)) << "live handle rejected";
-      ASSERT_EQ(table.remaining(id), rem);
-      ASSERT_EQ(table.released(id), ref_released[id]);
+      ASSERT_EQ(table.qedf_meta(id).t_insert, rem);
+      ASSERT_EQ(table.abandoned(id), ref_released[id]);
     }
   }
 
@@ -194,7 +204,7 @@ TEST(JobTableTest, ChurnKeepsSlotsBoundedByPeakOccupancy) {
     std::vector<JobId> window;
     Rng rng(777);
     for (int i = 0; i < kOps; ++i) {
-      window.push_back(table.allocate(rng.uniform(1.0, 2.0)));
+      window.push_back(table.allocate());
       if (window.size() == kWindow) {
         // Free in a scrambled order so the LIFO free list sees churn.
         while (!window.empty()) {
@@ -217,15 +227,16 @@ TEST(JobTableTest, DenseRebindInvalidatesPriorHandlesByContract) {
   std::vector<Job> jobs{Job{0, 0.0, 1.0, 10.0, 1.0},
                         Job{1, 0.0, 2.0, 10.0, 1.0}};
   JobTable table;
-  table.bind_dense(jobs);
-  table.remaining(0) = 0.25;
-  table.set_released(1);
+  table.bind_dense(jobs.size());
+  table.qedf_meta(0).t_insert = 0.25;
+  table.set_abandoned(1, true);
+  table.ocl_timer(0) = sim::TimerId{7};
 
   // Rebinding the same instance resets every slot to its initial state.
-  table.bind_dense(jobs);
-  EXPECT_EQ(table.remaining(0), 1.0);
-  EXPECT_FALSE(table.released(1));
-  EXPECT_EQ(table.outcome(0), sim::JobOutcome::kPending);
+  table.bind_dense(jobs.size());
+  EXPECT_EQ(table.qedf_meta(0).t_insert, 0.0);
+  EXPECT_FALSE(table.abandoned(1));
+  EXPECT_EQ(table.ocl_timer(0), sim::kNoTimer);
   EXPECT_EQ(table.live_count(), 2u);
 }
 

@@ -163,6 +163,27 @@ TEST(MultiEngine, CompletionClampedOntoLateDeadlineCompletes) {
   EXPECT_DOUBLE_EQ(result.completion_times[0], 1e6);
 }
 
+TEST(MultiEngine, CancelBeforeReleaseExpiresTheJobUnseen) {
+  // Same contract as sim::Engine: a live admission cancelled before its
+  // release pops expires unseen by the scheduler (which would refuse to run
+  // a non-live job), and its queued release and expiry pop as no-ops.
+  std::vector<Job> jobs;
+  GlobalKeyScheduler scheduler(GlobalKey::kDeadline);
+  MultiEngine engine(jobs, uniform_fleet(2, 1.0), scheduler);
+  engine.begin_live();
+  jobs.push_back(make_job(0, 1.0, 1.0, 5.0, 1.0));
+  engine.admit_live(0);
+  jobs.push_back(make_job(1, 1.0, 1.0, 5.0, 2.0));
+  engine.admit_live(1);
+  EXPECT_TRUE(engine.cancel_live(1));
+  EXPECT_EQ(engine.outcome(1), sim::JobOutcome::kExpired);
+  EXPECT_FALSE(engine.cancel_live(1));  // no longer pending
+  const MultiSimResult& result = engine.finish_live();
+  EXPECT_EQ(result.completed_count, 1u);
+  EXPECT_EQ(result.expired_count, 1u);
+  EXPECT_EQ(result.executed_work[1], 0.0);
+}
+
 TEST(MultiEngine, RejectsMisuse) {
   auto jobs = canonical({make_job(0, 0.0, 1.0, 2.0, 1.0)});
   GlobalKeyScheduler scheduler(GlobalKey::kDeadline);

@@ -626,6 +626,7 @@ TEST(ServeTest, RealClockLoadgenSessionReplays) {
   EXPECT_GT(report.submitted, 0u);
   EXPECT_GT(report.accepted, 0u);
   EXPECT_EQ(report.submitted, report.accepted + report.rejected + report.shed);
+  EXPECT_EQ(report.lost, 0u);
   // Drain resolves every admitted job, and the client saw each resolution.
   EXPECT_EQ(report.completed + report.expired, report.accepted);
   EXPECT_EQ(server.result().completed_count, report.completed);
@@ -820,10 +821,13 @@ TEST(ServeTest, BatchedSubmitsAreDurableBeforeTheirReplies) {
   EXPECT_EQ(journal_rows(dir), kSubmits);
 }
 
-TEST(ServeTest, FailedCommitAnswersEveryAdmissionOfTheBatchWithError) {
-  const std::string dir = fresh_dir("serve_group_commit_fail");
-  FakeClock clock;
-  SimServer server(scripted_config(dir), clock);
+/// Makes the flush of one batch of five submits fail. Every admission of
+/// the batch is withdrawn and answered ERROR; the withdrawn jobs, cancelled
+/// before their release events popped, finish expired without ever running,
+/// and the session's in-flight count still returns to zero.
+template <typename Server>
+void expect_failed_commit_withdraws_the_batch(Server& server,
+                                              const std::string& dir) {
   TestClient client(server.start());
   client.send(submit_msg(1, 0.5, 5.0, 1.0));
   ASSERT_EQ(client.await_seq(server, 1).type, MsgType::kAccepted);
@@ -866,6 +870,34 @@ TEST(ServeTest, FailedCommitAnswersEveryAdmissionOfTheBatchWithError) {
   }
   EXPECT_EQ(batch_replies, kLast - 1);
   EXPECT_EQ(server.stats().accepted, 1u);
+  // The engine ran only the committed job: the withdrawn ones expired.
+  const auto& outcomes = server.result().outcomes;
+  ASSERT_EQ(outcomes.size(), kLast);
+  EXPECT_EQ(outcomes[0], sjs::sim::JobOutcome::kCompleted);
+  for (std::size_t id = 1; id < kLast; ++id) {
+    EXPECT_EQ(outcomes[id], sjs::sim::JobOutcome::kExpired)
+        << "withdrawn job " << id;
+  }
+  EXPECT_EQ(server.stats().completed, 1u);
+  EXPECT_EQ(server.stats().expired, 0u);  // withdrawn, not expired
+  EXPECT_EQ(server.stats().in_flight, 0u);
+}
+
+TEST(ServeTest, FailedCommitAnswersEveryAdmissionOfTheBatchWithError) {
+  const std::string dir = fresh_dir("serve_group_commit_fail");
+  FakeClock clock;
+  SimServer server(scripted_config(dir), clock);
+  expect_failed_commit_withdraws_the_batch(server, dir);
+}
+
+TEST(ServeTest, ClusterFailedCommitAnswersEveryAdmissionOfTheBatchWithError) {
+  const std::string dir = fresh_dir("serve_group_commit_fail_cluster2");
+  FakeClock clock;
+  sjs::cluster::ClusterServerConfig config;
+  config.fleet = sjs::cluster::Fleet::heterogeneous(2);
+  config.journal_dir = dir;
+  sjs::cluster::FleetServer server(config, clock);
+  expect_failed_commit_withdraws_the_batch(server, dir);
 }
 
 TEST(JournalWriter, AppendedRowsReachTheFileAtCommit) {
@@ -889,6 +921,40 @@ TEST(JournalWriter, AppendedRowsReachTheFileAtCommit) {
 // ---------------------------------------------------------------------------
 // Pooled latency merge: quantiles come from the union of samples, never from
 // averaging per-connection summaries.
+
+TEST(LoadGen, UnansweredSubmitsCountAsLost) {
+  // A peer that takes connections but never answers: every submit is still
+  // unacked when the run ends, and the report counts each one as lost, so
+  // the accounting closes.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  sjs::serve::LoadGenConfig load;
+  load.port = ntohs(addr.sin_port);
+  load.duration_s = 0.1;
+  load.linger_s = 0.2;
+  load.arrival_rate = 200.0;
+  load.connections = 2;
+  load.send_drain = true;
+  sjs::serve::SystemClock clock;
+  const sjs::serve::LoadReport report = sjs::serve::run_load(load, clock);
+  ::close(listener);
+
+  EXPECT_FALSE(report.drain_acked);
+  EXPECT_GT(report.submitted, 0u);
+  EXPECT_EQ(report.lost, report.submitted);
+  EXPECT_EQ(report.submitted,
+            report.accepted + report.rejected + report.shed + report.lost);
+}
 
 TEST(LoadGen, MergedLatencyPoolsSamplesAcrossConnections) {
   // Two heavily skewed connections: one fast (1ms-ish), one slow (100ms-ish)
